@@ -26,66 +26,24 @@ a fail-stopped replica (giving up N is its defining property).
 
 from __future__ import annotations
 
-from repro.analysis import controller_grid_rows, format_table, sweep_controller
+from repro.analysis import CONTROLLER_GRID
 
-from benchutil import emit, emit_json
+from benchutil import emit_grid
 
-PROTOCOLS = (
-    "algorithm-a",
-    "algorithm-b",
-    "algorithm-c",
-    "occ-double-collect",
-    "eiger",
-    "naive-snow",
+PROTOCOLS = CONTROLLER_GRID.protocols
+
+TABLE = (
+    "availability", "dead_detected", "plans_replace", "plans_grow", "healed", "time_to_heal",
+    "unavailability_window", "total_messages",
 )
-SEED = 17
-
-HEADERS = [
-    "protocol",
-    "scenario",
-    "SNOW",
-    "avail",
-    "dead",
-    "plans",
-    "healed",
-    "time-to-heal",
-    "unavail window",
-    "msgs",
-]
-
-
-def regenerate():
-    grid = sweep_controller(protocols=PROTOCOLS, seed=SEED)
-    rows = controller_grid_rows(grid)
-    table_rows = [
-        [
-            row["protocol"],
-            row["scenario"],
-            row["snow"],
-            f"{row['availability']:.2f}",
-            row.get("dead_detected", "-"),
-            row.get("plans_replace", 0) + row.get("plans_grow", 0),
-            row.get("healed", "-"),
-            row.get("time_to_heal") if row.get("time_to_heal") is not None else "-",
-            row.get("unavailability_window", "-"),
-            row["total_messages"],
-        ]
-        for row in rows
-    ]
-    table = format_table(
-        HEADERS,
-        table_rows,
-        title="Self-healing grid: the controller replaces dead replicas autonomously",
-    )
-    return grid, rows, table
 
 
 def test_controller_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
-    emit("controller_sweep", table)
-    emit_json(
-        "controller",
-        {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED},
+    rows = emit_grid(
+        benchmark,
+        CONTROLLER_GRID,
+        "Self-healing grid: the controller replaces dead replicas autonomously",
+        TABLE,
     )
 
     cells = {(r["protocol"], r["scenario"]): r for r in rows}

@@ -23,58 +23,23 @@ roadmap, measured.
 
 from __future__ import annotations
 
-from repro.analysis import consensus_grid_rows, format_table, sweep_consensus_factor
+from repro.analysis import FAILOVER_GRID
 
-from benchutil import emit, emit_json
+from benchutil import emit_grid
 
-PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
-FACTORS = (1, 3)
-SEED = 11
+PROTOCOLS = FAILOVER_GRID.protocols
+FACTORS = tuple(FAILOVER_GRID.axes["consensus_factor"])
 
-HEADERS = [
-    "protocol",
-    "cf",
-    "scenario",
-    "SNOW",
-    "avail",
-    "elections",
-    "max term",
-    "commit lat (mean)",
-    "msgs",
-]
-
-
-def regenerate():
-    grid = sweep_consensus_factor(protocols=PROTOCOLS, factors=FACTORS, seed=SEED)
-    rows = consensus_grid_rows(grid)
-    table_rows = [
-        [
-            row["protocol"],
-            row["consensus_factor"],
-            row["scenario"],
-            row["snow"],
-            f"{row['availability']:.2f}",
-            row.get("elections", "-"),
-            row.get("max_term", "-"),
-            row.get("commit_latency_mean", "-"),
-            row["total_messages"],
-        ]
-        for row in rows
-    ]
-    table = format_table(
-        HEADERS,
-        table_rows,
-        title="Failover grid: SNOW verdicts and availability across consensus factors",
-    )
-    return grid, rows, table
+TABLE = ("availability", "elections", "max_term", "commit_latency_mean", "total_messages")
 
 
 def test_failover_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
-    emit("failover_sweep", table)
-    emit_json(
-        "failover",
-        {"grid": rows, "protocols": list(PROTOCOLS), "factors": list(FACTORS), "seed": SEED},
+    rows = emit_grid(
+        benchmark,
+        FAILOVER_GRID,
+        "Failover grid: SNOW verdicts and availability across consensus factors",
+        TABLE,
+        factors=list(FACTORS),
     )
 
     cells = {(r["protocol"], r["consensus_factor"], r["scenario"]): r for r in rows}

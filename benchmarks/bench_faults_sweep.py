@@ -26,82 +26,26 @@ more.
 
 from __future__ import annotations
 
-from repro.analysis import fault_grid_rows, format_table, sweep_fault_grid
-from repro.faults import fail_stop, partition_grid_scenarios, standard_fault_scenarios
+from repro.analysis import FAULT_GRID
 
-from benchutil import emit, emit_json
+from benchutil import emit_grid
 
-PROTOCOLS = ("simple-rw", "algorithm-b", "algorithm-c", "eiger")
-NUM_OBJECTS = 2
-NUM_READERS = 2
-NUM_WRITERS = 2
-SEED = 7
-CRASH_SERVER = "sx"  # the server holding the first object of a 2-object system
-CLIENTS = ("r1", "r2", "w1", "w2")
-SERVERS = ("sx", "sy")
+PROTOCOLS = FAULT_GRID.protocols
 PARTITION_DURATIONS = (20, 60)
 
-HEADERS = [
-    "protocol",
-    "scenario",
-    "SNOW",
-    "avail",
-    "consistent",
-    "read vlat (mean)",
-    "read vlat (p95)",
-    "retransmits",
-    "dropped",
-    "msgs",
-]
-
-
-def scenarios():
-    grid_scenarios = standard_fault_scenarios(seed=SEED, crash_server=CRASH_SERVER)
-    grid_scenarios["fail-stop"] = fail_stop(server=CRASH_SERVER, at=12, seed=SEED)
-    # The partition grid: placement (client↔shard / shard↔shard) × duration.
-    grid_scenarios.update(
-        partition_grid_scenarios(
-            clients=CLIENTS, servers=SERVERS, durations=PARTITION_DURATIONS, seed=SEED
-        )
-    )
-    return grid_scenarios
-
-
-def regenerate():
-    grid = sweep_fault_grid(
-        protocols=PROTOCOLS,
-        scenarios=scenarios(),
-        num_readers=NUM_READERS,
-        num_writers=NUM_WRITERS,
-        num_objects=NUM_OBJECTS,
-        seed=SEED,
-    )
-    rows = fault_grid_rows(grid)
-    table_rows = [
-        [
-            row["protocol"],
-            row["scenario"],
-            row["snow"],
-            f"{row['availability']:.2f}",
-            {True: "yes", False: "NO", None: "-"}[row.get("consistent")],
-            row.get("read_latency_virtual_mean"),
-            row.get("read_latency_virtual_p95"),
-            row.get("retransmissions", 0),
-            row.get("messages_dropped", 0),
-            row["total_messages"],
-        ]
-        for row in rows
-    ]
-    table = format_table(
-        HEADERS, table_rows, title="Chaos grid: SNOW verdicts, availability and latency under faults"
-    )
-    return grid, rows, table
+TABLE = (
+    "availability", "consistent", "read_latency_virtual_mean", "read_latency_virtual_p95",
+    "retransmissions", "messages_dropped", "total_messages",
+)
 
 
 def test_faults_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
-    emit("faults_sweep", table)
-    emit_json("faults", {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED})
+    rows = emit_grid(
+        benchmark,
+        FAULT_GRID,
+        "Chaos grid: SNOW verdicts, availability and latency under faults",
+        TABLE,
+    )
 
     cells = {(row["protocol"], row["scenario"]): row for row in rows}
     scenario_names = {row["scenario"] for row in rows}

@@ -29,62 +29,24 @@ latency column matches the unleased cell.
 
 from __future__ import annotations
 
-from repro.analysis import format_table, lease_grid_rows, sweep_lease
+from repro.analysis import LEASE_GRID
 
-from benchutil import emit, emit_json
+from benchutil import emit_grid
 
-PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
+PROTOCOLS = LEASE_GRID.protocols
 #: the protocols with a read-only coordinator request to accelerate
 LEASED_READ_PROTOCOLS = ("algorithm-b", "algorithm-c")
-MODES = ("none", "leased")
+MODES = tuple(LEASE_GRID.axes["leases"])
 SCENARIOS = ("steady", "leader-crash")
-SEED = 11
 
-HEADERS = [
-    "protocol",
-    "leases",
-    "scenario",
-    "SNOW",
-    "rounds",
-    "avail",
-    "commit mean",
-    "local/applied",
-    "read mean",
-    "acq/renew/exp",
-]
-
-
-def regenerate():
-    grid = sweep_lease(protocols=PROTOCOLS, seed=SEED)
-    rows = lease_grid_rows(grid)
-    table_rows = [
-        [
-            row["protocol"],
-            row["leases"],
-            row["scenario"],
-            row["snow"],
-            row["max_read_rounds"],
-            f"{row['availability']:.2f}",
-            row.get("commit_latency_mean", "-"),
-            f"{row.get('local_reads', 0)}/{row.get('read_applies', 0)}",
-            row.get("lease_read_latency_mean", "-"),
-            f"{row.get('lease_acquisitions', 0)}/{row.get('lease_renewals', 0)}/{row.get('lease_expiries', 0)}",
-        ]
-        for row in rows
-    ]
-    table = format_table(
-        HEADERS, table_rows, title="Leader-lease grid: the consensus read fast path"
-    )
-    return rows, table
+TABLE = (
+    "max_read_rounds", "availability", "commit_latency_mean", "local_reads", "read_applies",
+    "lease_read_latency_mean", "lease_acquisitions", "lease_renewals", "lease_expiries",
+)
 
 
 def test_lease_sweep(benchmark):
-    rows, table = benchmark(regenerate)
-    emit("lease_sweep", table)
-    emit_json(
-        "lease",
-        {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED},
-    )
+    rows = emit_grid(benchmark, LEASE_GRID, "Leader-lease grid: the consensus read fast path", TABLE)
 
     cells = {(r["protocol"], r["leases"], r["scenario"]): r for r in rows}
     assert len(rows) == len(PROTOCOLS) * len(MODES) * len(SCENARIOS)

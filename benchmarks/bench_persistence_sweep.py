@@ -11,9 +11,10 @@ columns the regression gate pins), election churn, and the new persistence
 block — recoveries taken, checkpoints cut, compaction ratio, retained-vs-
 total log length.
 
-Two non-gated wall-clock series ride along: ``recovery`` (time to rebuild a
-full member group from a populated plane — the restart-from-storage path)
-and ``journal`` (file-backend compaction: journal bytes before/after the
+Two non-gated series ride along: ``recovery`` (wall-clock time to rebuild
+a full member group from a populated plane — the restart-from-storage path;
+printed only, so the committed JSON regenerates byte for byte) and
+``journal`` (file-backend compaction: journal bytes before/after the
 snapshot rewrite).
 
 Expected shape: every durable cell matches the fault-free verdicts with
@@ -29,52 +30,22 @@ import shutil
 import tempfile
 import time
 
-from repro.analysis import format_table, persistence_grid_rows, sweep_persistence
+from repro.analysis import PERSISTENCE_GRID
 from repro.faults import ChaosScheduler
 from repro.ioa import FIFOScheduler
 from repro.persist import PersistencePlane, PersistencePolicy
 from repro.protocols import get_protocol
 
-from benchutil import emit, emit_json
+from benchutil import emit, emit_grid
 
-PROTOCOLS = ("algorithm-b", "algorithm-c", "occ-double-collect")
-MODES = ("volatile", "durable", "durable+compact")
-SEED = 11
+PROTOCOLS = PERSISTENCE_GRID.protocols
+MODES = tuple(PERSISTENCE_GRID.axes["persistence"])
+SEED = PERSISTENCE_GRID.seed
 
-HEADERS = [
-    "protocol",
-    "persistence",
-    "scenario",
-    "SNOW",
-    "avail",
-    "recoveries",
-    "checkpoints",
-    "compaction",
-    "retained/log",
-]
-
-
-def regenerate():
-    grid = sweep_persistence(protocols=PROTOCOLS, seed=SEED)
-    rows = persistence_grid_rows(grid)
-    table_rows = [
-        [
-            row["protocol"],
-            row["persistence"],
-            row["scenario"],
-            row["snow"],
-            f"{row['availability']:.2f}",
-            row.get("recoveries", "-"),
-            row.get("checkpoints", "-"),
-            f"{row['compaction_ratio']:.2f}" if "compaction_ratio" in row else "-",
-            f"{row['retained_entries']}/{row['log_length']}" if "log_length" in row else "-",
-        ]
-        for row in rows
-    ]
-    table = format_table(
-        HEADERS, table_rows, title="Durability grid: persistence modes under amnesiac crashes"
-    )
-    return rows, table
+TABLE = (
+    "availability", "recoveries", "checkpoints", "compaction_ratio", "retained_entries",
+    "log_length",
+)
 
 
 def build_system(persistence):
@@ -160,19 +131,22 @@ def journal_compaction_stats():
 
 
 def test_persistence_sweep(benchmark):
-    rows, table = benchmark(regenerate)
-    emit("persistence_sweep", table)
     recovery = recovery_microbench()
     journal = journal_compaction_stats()
-    emit_json(
-        "persist",
-        {
-            "grid": rows,
-            "journal": journal,
-            "protocols": list(PROTOCOLS),
-            "recovery": recovery,
-            "seed": SEED,
-        },
+    rows = emit_grid(
+        benchmark,
+        PERSISTENCE_GRID,
+        "Durability grid: persistence modes under amnesiac crashes",
+        TABLE,
+        journal=journal,
+        # the wall-clock mean is printed, never committed: it would make
+        # every regeneration of BENCH_persist.json differ
+        recovery={"rounds": recovery["rounds"]},
+    )
+    emit(
+        "persist_recovery",
+        f"restart-from-storage: {recovery['rounds']} rebuilds, "
+        f"mean {recovery['mean_rebuild_seconds']:.6f} s per rebuild",
     )
 
     cells = {(r["protocol"], r["persistence"], r["scenario"]): r for r in rows}

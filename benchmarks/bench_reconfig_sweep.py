@@ -32,61 +32,26 @@ monotonically with the drop probability.
 
 from __future__ import annotations
 
-from repro.analysis import format_table, reconfig_grid_rows, sweep_reconfig
+from repro.analysis import RECONFIG_GRID
 
-from benchutil import emit, emit_json
+from benchutil import emit_grid
 
-PROTOCOLS = ("algorithm-a", "algorithm-b")
-SEED = 13
+PROTOCOLS = RECONFIG_GRID.protocols
 LOSS_RATES = (0.05, 0.15, 0.30)
 LOSSY_SCENARIOS = tuple(f"lossy-replace-p{round(p * 100):02d}" for p in LOSS_RATES)
 
-HEADERS = [
-    "protocol",
-    "scenario",
-    "SNOW",
-    "avail",
-    "epochs",
-    "transferred",
-    "retries",
-    "unavail window",
-    "dropped",
-    "msgs",
-]
-
-
-def regenerate():
-    grid = sweep_reconfig(protocols=PROTOCOLS, seed=SEED, loss_rates=LOSS_RATES)
-    rows = reconfig_grid_rows(grid)
-    table_rows = [
-        [
-            row["protocol"],
-            row["scenario"],
-            row["snow"],
-            f"{row['availability']:.2f}",
-            row.get("epochs", "-"),
-            row.get("transfer_versions", "-"),
-            row.get("epoch_retries", "-"),
-            row.get("unavailability_window", "-"),
-            row.get("messages_dropped", "-"),
-            row["total_messages"],
-        ]
-        for row in rows
-    ]
-    table = format_table(
-        HEADERS,
-        table_rows,
-        title="Reconfiguration grid: membership change as a mid-run experiment",
-    )
-    return grid, rows, table
+TABLE = (
+    "availability", "epochs", "transfer_versions", "epoch_retries", "unavailability_window",
+    "messages_dropped", "total_messages",
+)
 
 
 def test_reconfig_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
-    emit("reconfig_sweep", table)
-    emit_json(
-        "reconfig",
-        {"grid": rows, "protocols": list(PROTOCOLS), "seed": SEED},
+    rows = emit_grid(
+        benchmark,
+        RECONFIG_GRID,
+        "Reconfiguration grid: membership change as a mid-run experiment",
+        TABLE,
     )
 
     cells = {(r["protocol"], r["scenario"]): r for r in rows}

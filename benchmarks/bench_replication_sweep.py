@@ -22,64 +22,26 @@ verdict, availability 1.0 — which is precisely "SNOW verdicts measured
 
 from __future__ import annotations
 
-from repro.analysis import format_table, replication_grid_rows, sweep_replication_factor
+from repro.analysis import REPLICATION_GRID
 
-from benchutil import emit, emit_json
+from benchutil import emit_grid
 
-PROTOCOLS = ("algorithm-a", "algorithm-b", "algorithm-c")
-FACTORS = (1, 2, 3)
-QUORUM = "majority"
-SEED = 9
+PROTOCOLS = REPLICATION_GRID.protocols
+FACTORS = tuple(REPLICATION_GRID.axes["replication_factor"])
 
-HEADERS = [
-    "protocol",
-    "rf",
-    "scenario",
-    "SNOW",
-    "avail",
-    "read avail",
-    "R/W quorum",
-    "replies (mean)",
-    "msgs",
-]
-
-
-def regenerate():
-    grid = sweep_replication_factor(
-        protocols=PROTOCOLS,
-        factors=FACTORS,
-        quorum=QUORUM,
-        seed=SEED,
-    )
-    rows = replication_grid_rows(grid)
-    table_rows = [
-        [
-            row["protocol"],
-            row["replication_factor"],
-            row["scenario"],
-            row["snow"],
-            f"{row['availability']:.2f}",
-            f"{row['read_availability']:.2f}" if "read_availability" in row else "-",
-            f"{row['read_quorum']}/{row['write_quorum']}" if "read_quorum" in row else "1/1",
-            row.get("read_quorum_replies_mean", "-"),
-            row["total_messages"],
-        ]
-        for row in rows
-    ]
-    table = format_table(
-        HEADERS,
-        table_rows,
-        title="Replication grid: SNOW verdicts and availability across replication factors",
-    )
-    return grid, rows, table
+TABLE = (
+    "availability", "read_availability", "read_quorum", "write_quorum",
+    "read_quorum_replies_mean", "total_messages",
+)
 
 
 def test_replication_sweep(benchmark):
-    grid, rows, table = benchmark(regenerate)
-    emit("replication_sweep", table)
-    emit_json(
-        "replication",
-        {"grid": rows, "protocols": list(PROTOCOLS), "factors": list(FACTORS), "seed": SEED},
+    rows = emit_grid(
+        benchmark,
+        REPLICATION_GRID,
+        "Replication grid: SNOW verdicts and availability across replication factors",
+        TABLE,
+        factors=list(FACTORS),
     )
 
     cells = {(r["protocol"], r["replication_factor"], r["scenario"]): r for r in rows}

@@ -11,9 +11,10 @@ outputs survive output capturing and land next to the timing numbers in
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
+
+from repro.analysis import GridSpec, format_table, grid_rows, run_grid
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -37,3 +38,20 @@ def emit_json(name: str, payload: Any) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"[benchutil] wrote {path}")
     return path
+
+
+def emit_grid(benchmark, spec: GridSpec, title: str, table: Sequence[str], **payload: Any):
+    """Run ``spec`` under the pytest-benchmark timer, print its table — the
+    cell labels, the SNOW verdict and the ``table`` columns ("-" where a row
+    lacks one) — and write ``BENCH_<spec.name>.json``: the rows, protocols
+    and seed, plus any extra top-level ``payload`` entries.  Returns the
+    rows."""
+    rows = benchmark(lambda: grid_rows(spec, run_grid(spec)))
+    headers = ["protocol", *spec.axes, "scenario", "snow", *table]
+    cells = [[row.get(header, "-") for header in headers] for row in rows]
+    emit(f"{spec.name}_sweep", format_table(headers, cells, title=title))
+    emit_json(
+        spec.name,
+        {"grid": rows, "protocols": list(spec.protocols), "seed": spec.seed, **payload},
+    )
+    return rows

@@ -126,6 +126,8 @@ class FaultMetrics:
     #: so this is the clock "latency under fault" is measured on.
     read_latency_virtual: AggregateStats
     write_latency_virtual: AggregateStats
+    #: per partition of the plan, its duration (``None`` = never heals)
+    partition_durations: Tuple[Optional[int], ...] = ()
 
     @property
     def availability(self) -> float:
@@ -151,7 +153,7 @@ class FaultMetrics:
         )
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
+        out = {
             "plan": self.plan,
             "submitted": self.submitted,
             "completed": self.completed,
@@ -177,6 +179,12 @@ class FaultMetrics:
             if self.write_latency_virtual.count
             else None,
         }
+        # Only partitioned plans carry the column (the longest finite
+        # window), so the rows of partition-free plans stay unchanged.
+        if self.partition_durations:
+            finite = [d for d in self.partition_durations if d is not None]
+            out["partition_duration"] = max(finite) if finite else None
+        return out
 
 
 @dataclass(frozen=True)
@@ -506,6 +514,43 @@ class ExperimentMetrics:
     def max_versions(self) -> int:
         return int(self.read_versions.maximum) if self.read_versions.count else 1
 
+    def as_row(self) -> Dict[str, Any]:
+        """One flat, JSON-ready row: the run-wide columns plus the union of
+        every present block's ``as_dict()``.
+
+        Two defaults keep rows of mixed grids comparable: a run without a
+        fault plane ran to completion (``availability`` 1.0), and a run
+        without replication is factor 1 under ``read-one-write-all``.  The
+        fault plane's ``recoveries`` (crashed servers brought back) is
+        renamed ``fault_recoveries``, so ``recoveries`` always means the
+        persistence block's member-store recoveries.
+        """
+        reads = self.read_latency_steps
+        row: Dict[str, Any] = {
+            "max_read_rounds": self.max_read_rounds(),
+            "total_messages": self.total_messages,
+            "total_steps": self.total_steps,
+            "completed_reads_mean_latency_steps": round(reads.mean, 2) if reads.count else None,
+            "completed_reads_p95_latency_steps": reads.p95 if reads.count else None,
+            "availability": 1.0,
+            "replication_factor": 1,
+            "quorum": "read-one-write-all",
+        }
+        if self.faults is not None:
+            faults = self.faults.as_dict()
+            faults["fault_recoveries"] = faults.pop("recoveries")
+            row.update(faults)
+        for block in (
+            self.replication,
+            self.consensus,
+            self.reconfig,
+            self.controller,
+            self.persistence,
+        ):
+            if block is not None:
+                row.update(block.as_dict())
+        return row
+
     def describe(self) -> str:
         lines = [
             f"metrics[{self.protocol}]: {len(self.reads())} reads, {len(self.writes())} writes, "
@@ -574,6 +619,9 @@ def _collect_fault_metrics(simulation: Simulation) -> Optional[FaultMetrics]:
         recoveries=stats.recoveries,
         read_latency_virtual=AggregateStats.from_values(read_vlat),
         write_latency_virtual=AggregateStats.from_values(write_vlat),
+        partition_durations=tuple(
+            None if p.heal is None else p.heal - p.start for p in plane.plan.partitions
+        ),
     )
 
 
@@ -599,15 +647,9 @@ def _collect_replication_metrics(
     )
 
 
-def _consensus_metrics_from_registry(simulation: Simulation, members: int) -> ConsensusMetrics:
-    """Read the consensus block off the observability plane's registry.
-
-    The plane's trace observer counted every consensus internal action as it
-    was appended, so this is a handful of dictionary lookups instead of a
-    full trace walk — and provably equal to the walk (pinned by
-    ``tests/obs/test_plane_metrics.py``).
-    """
-    registry = simulation.obs.registry
+def _consensus_metrics_from_registry(registry, members: int) -> ConsensusMetrics:
+    """Build the consensus block from the run's protocol-event counts
+    (see :func:`_protocol_event_registry`)."""
     return ConsensusMetrics(
         members=members,
         elections=registry.counter_value("consensus.events", kind="candidacy"),
@@ -628,67 +670,6 @@ def _consensus_metrics_from_registry(simulation: Simulation, members: int) -> Co
         lease_read_latency=AggregateStats.from_values(
             [int(v) for v in registry.histogram_values("consensus.lease_read_latency")]
         ),
-    )
-
-
-def _collect_consensus_metrics(simulation: Simulation) -> Optional[ConsensusMetrics]:
-    """Build the consensus block when a replicated coordinator is registered."""
-    from ..ioa.actions import ActionKind
-
-    group = getattr(simulation.topology, "consensus_group", lambda: ())()
-    if not group:
-        return None
-    if getattr(simulation, "obs", None) is not None:
-        return _consensus_metrics_from_registry(simulation, len(group))
-    elections = leaders = applied = 0
-    acquired = renewed = expired = local = read_applies = 0
-    max_term = 1
-    latencies: List[int] = []
-    elected_at: List[int] = []
-    read_latencies: List[int] = []
-    for action in simulation.trace:
-        if action.kind != ActionKind.INTERNAL or not action.info:
-            continue
-        info = dict(action.info)
-        kind = info.get("consensus")
-        if kind is None:
-            continue
-        max_term = max(max_term, int(info.get("term", 1)))
-        if kind == "candidacy":
-            elections += 1
-        elif kind == "became-leader":
-            leaders += 1
-            elected_at.append(int(info.get("vtime", 0)))
-        elif kind == "apply":
-            applied += 1
-            if "commit_latency" in info:
-                latencies.append(int(info["commit_latency"]))
-            if info.get("read"):
-                read_applies += 1
-        elif kind == "lease-acquired":
-            acquired += 1
-        elif kind == "lease-renewed":
-            renewed += 1
-        elif kind == "lease-expired":
-            expired += 1
-        elif kind == "local-read":
-            local += 1
-            if "read_latency" in info:
-                read_latencies.append(int(info["read_latency"]))
-    return ConsensusMetrics(
-        members=len(group),
-        elections=elections,
-        leaders_elected=leaders,
-        max_term=max_term,
-        entries_applied=applied,
-        commit_latency=AggregateStats.from_values(latencies),
-        leader_elected_at=tuple(elected_at),
-        lease_acquisitions=acquired,
-        lease_renewals=renewed,
-        lease_expiries=expired,
-        local_reads=local,
-        read_applies=read_applies,
-        lease_read_latency=AggregateStats.from_values(read_latencies),
     )
 
 
@@ -728,12 +709,9 @@ def _collect_reconfig_metrics(simulation: Simulation, directory) -> Optional[Rec
     )
 
 
-def _controller_metrics_from_registry(
-    simulation: Simulation, directory
-) -> Optional[ControllerMetrics]:
-    """Read the rebalancing block off the observability plane's registry
-    (same shortcut as :func:`_consensus_metrics_from_registry`)."""
-    registry = simulation.obs.registry
+def _controller_metrics_from_registry(registry, directory) -> Optional[ControllerMetrics]:
+    """Build the rebalancing block from the run's protocol-event counts
+    (``None`` when no controller ever acted)."""
     if registry.counter_total("controller.events") == 0:
         return None
     dead = registry.counter_value("controller.events", kind="replica-dead")
@@ -762,73 +740,25 @@ def _controller_metrics_from_registry(
     )
 
 
-def _collect_controller_metrics(
-    simulation: Simulation, directory
-) -> Optional[ControllerMetrics]:
-    """Build the rebalancing block from the controller's internal actions."""
-    from ..ioa.actions import ActionKind
+def _protocol_event_registry(simulation: Simulation, group: Sequence[str]):
+    """The registry holding the run's consensus/controller event counts.
+
+    A run observed by an :class:`~repro.obs.ObservabilityPlane` counted them
+    live; any other run's trace is replayed through the same counting
+    function into a fresh registry (which refuses a partial trace rather
+    than undercount).  ``None`` when the run has neither a consensus group
+    nor a controller, so there is nothing to count.
+    """
+    from ..consensus.controller import ReconfigController
+    from ..obs.plane import replay_protocol_events
 
     if getattr(simulation, "obs", None) is not None:
-        return _controller_metrics_from_registry(simulation, directory)
-    probes = acks = dead = replaces = grows = rejected = healed = 0
-    first_dead: Optional[int] = None
-    last_heal: Optional[int] = None
-    seen = False
-    for action in simulation.trace:
-        if (
-            action.kind == ActionKind.RECV
-            and action.message is not None
-            and action.message.msg_type == "ctl-ack"
-        ):
-            # Count delivered acks from the trace itself: acks landing after
-            # the final tick would be invisible to any per-tick counter.
-            acks += 1
-            continue
-        if action.kind != ActionKind.INTERNAL or not action.info:
-            continue
-        info = dict(action.info)
-        if info.get("reconfig") == "rejected":
-            rejected += 1
-            continue
-        kind = info.get("controller")
-        if kind is None:
-            continue
-        seen = True
-        if kind == "tick":
-            probes += int(info.get("probes", 0))
-        elif kind == "replica-dead":
-            dead += 1
-            if first_dead is None:
-                first_dead = int(info.get("vtime", 0))
-        elif kind == "plan-replace":
-            replaces += 1
-        elif kind == "plan-grow":
-            grows += 1
-        elif kind == "healed":
-            healed += 1
-            last_heal = int(info.get("vtime", 0))
-    if not seen:
+        return simulation.obs.registry
+    if not group and not any(
+        isinstance(automaton, ReconfigController) for automaton in simulation.automata()
+    ):
         return None
-    time_to_heal = (
-        last_heal - first_dead
-        if first_dead is not None and last_heal is not None
-        else None
-    )
-    converged = (
-        healed == replaces + grows
-        and (directory is None or not directory.in_flight())
-    )
-    return ControllerMetrics(
-        probes=probes,
-        acks=acks,
-        dead_detected=dead,
-        plans_replace=replaces,
-        plans_grow=grows,
-        plans_rejected=rejected,
-        healed=healed,
-        time_to_heal=time_to_heal,
-        converged=converged,
-    )
+    return replay_protocol_events(simulation.trace)
 
 
 def _collect_persistence_metrics(simulation: Simulation) -> Optional[PersistenceMetrics]:
@@ -870,6 +800,11 @@ def collect_metrics(
     ``placement`` / ``quorum_policy`` (optional) enable the replication
     block; ``directory`` (optional) the reconfiguration block; pass them
     from the built system's handle.
+
+    The consensus and controller blocks come from the observability plane's
+    registry when one observed the run, and from a replay of the trace
+    otherwise — which raises :class:`~repro.ioa.TraceError` on a
+    ``sampled``/``ring`` trace instead of silently undercounting.
     """
     transactions: List[TransactionMetrics] = []
     total_messages = 0
@@ -892,6 +827,8 @@ def collect_metrics(
 
     reads = [t for t in transactions if t.kind == "read"]
     writes = [t for t in transactions if t.kind == "write"]
+    group = getattr(simulation.topology, "consensus_group", lambda: ())()
+    registry = _protocol_event_registry(simulation, group)
     return ExperimentMetrics(
         protocol=protocol_name,
         transactions=tuple(transactions),
@@ -909,8 +846,16 @@ def collect_metrics(
         total_steps=simulation.steps_taken,
         faults=_collect_fault_metrics(simulation),
         replication=_collect_replication_metrics(simulation, placement, quorum_policy),
-        consensus=_collect_consensus_metrics(simulation),
+        consensus=(
+            _consensus_metrics_from_registry(registry, len(group))
+            if registry is not None and group
+            else None
+        ),
         reconfig=_collect_reconfig_metrics(simulation, directory),
-        controller=_collect_controller_metrics(simulation, directory),
+        controller=(
+            _controller_metrics_from_registry(registry, directory)
+            if registry is not None
+            else None
+        ),
         persistence=_collect_persistence_metrics(simulation),
     )

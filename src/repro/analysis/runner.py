@@ -101,7 +101,8 @@ class ExperimentConfig:
     #: install the observability plane (kernel metrics registry + causal
     #: spans; see :mod:`repro.obs`).  Purely additive: the trace and every
     #: metric block stay identical — the collectors just read the registry
-    #: instead of re-walking the trace.
+    #: instead of replaying the trace (which a non-full ``trace_mode``
+    #: needs: collection refuses to replay a partial trace).
     observe: bool = False
     #: also enable the wall-clock kernel profiler (implies ``observe``);
     #: profiler output never enters deterministic results.

@@ -12,15 +12,16 @@ two summary matrices:
   SNW algorithms);
 * :func:`sweep_read_size` — latency as READ transactions span more shards
   (the fan-out dimension of real workloads).
+
+The protocol × fault grids committed as ``BENCH_*.json`` live in
+:mod:`repro.analysis.grid`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Sequence, Tuple
 
-from ..faults.plan import FaultPlan
-from ..faults.scenarios import standard_fault_scenarios
 from .runner import ExperimentConfig, ExperimentResult, run_experiment
 from .workload import WorkloadSpec
 
@@ -130,749 +131,6 @@ def sweep_rounds_vs_contention(
             sweep.points.append(SweepPoint(x=writers, result=run_experiment(config)))
         sweeps[protocol] = sweep
     return sweeps
-
-
-def sweep_fault_grid(
-    protocols: Sequence[str] = ("simple-rw", "algorithm-b", "algorithm-c", "eiger"),
-    scenarios: Optional[Mapping[str, FaultPlan]] = None,
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 7,
-    check_properties: bool = True,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """The chaos grid: every protocol under every named fault scenario.
-
-    Returns ``{protocol: {scenario: result}}``.  Each cell runs the same
-    workload through the chaos scheduler under that scenario's
-    :class:`FaultPlan`; the fault-free ``none`` column doubles as the
-    latency/availability baseline the degradation numbers are relative to.
-
-    The default scenarios crash the server holding the first object of the
-    built systems, so the crash column actually bites.
-    """
-    if scenarios is None:
-        from ..txn.objects import object_names, server_for_object
-
-        crash_server = server_for_object(object_names(num_objects)[0])
-        scenarios = standard_fault_scenarios(seed=seed, crash_server=crash_server)
-    else:
-        scenarios = dict(scenarios)
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    grid: Dict[str, Dict[str, ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[str, ExperimentResult] = {}
-        for scenario_name, plan in scenarios.items():
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=num_readers,
-                num_writers=num_writers,
-                num_objects=num_objects,
-                workload=workload,
-                scheduler="chaos",
-                seed=seed,
-                check_properties=check_properties,
-                faults=plan,
-            )
-            row[scenario_name] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def fault_grid_rows(grid: Mapping[str, Mapping[str, ExperimentResult]]) -> List[Dict[str, Any]]:
-    """Flatten a chaos grid into JSON-ready rows (one per protocol×scenario).
-
-    Each row carries the SNOW verdict, availability, latency-under-fault and
-    retransmission counts — the machine-readable record tracked across PRs
-    via ``BENCH_faults.json``.  Two CAP-style fields make the
-    availability/consistency trade-off a first-class column pair:
-    ``consistent`` (did strict serializability survive, over the completed
-    transactions) next to ``availability`` (what fraction completed).
-    Partition scenarios additionally report their axes
-    (``partition_duration``; the placement is encoded in the scenario name),
-    and replicated runs their ``replication_factor``/``quorum``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for scenario, result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            read_latency = metrics.read_latency_steps
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "completed_reads_mean_latency_steps": round(read_latency.mean, 2)
-                if read_latency.count
-                else None,
-                "completed_reads_p95_latency_steps": read_latency.p95 if read_latency.count else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_steps": metrics.total_steps,
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row.update(faults.as_dict())
-            else:
-                row.update({"plan": "none", "availability": 1.0})
-            plan = result.config.faults
-            if plan is not None and plan.partitions:
-                finite_heals = [p.heal - p.start for p in plan.partitions if p.heal is not None]
-                row["partition_duration"] = max(finite_heals) if finite_heals else None
-            if metrics.replication is not None:
-                row.update(metrics.replication.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_replication_factor(
-    protocols: Sequence[str] = ("algorithm-a", "algorithm-b", "algorithm-c"),
-    factors: Sequence[int] = (1, 2, 3),
-    quorum: str = "majority",
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 9,
-    crash_at: int = 6,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[int, str], ExperimentResult]]:
-    """The replication grid: protocol × replication factor × fault scenario.
-
-    Per factor, two scenarios run: ``none`` (fault-free baseline) and
-    ``crash-replica`` — a fail-stop of the *last* replica of the first
-    object's group mid-run.  At factor 1 that replica is the object's only
-    copy, so the crash costs availability; at factor ≥ 3 with a majority
-    quorum the reads and writes complete on the surviving quorum and the
-    verdict columns show the SNOW properties riding through the outage.
-    Returns ``{protocol: {(factor, scenario): result}}``.
-    """
-    from ..faults.plan import CrashEvent, FaultPlan
-    from ..txn.objects import object_names
-    from ..txn.placement import replica_names
-
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    first_object = object_names(num_objects)[0]
-    grid: Dict[str, Dict[Tuple[int, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[int, str], ExperimentResult] = {}
-        for factor in factors:
-            crash_target = replica_names(first_object, factor)[-1]
-            scenarios: Dict[str, FaultPlan] = {
-                "none": FaultPlan.none(),
-                "crash-replica": FaultPlan(
-                    name="crash-replica",
-                    crashes=(CrashEvent(server=crash_target, at=crash_at, recover=None),),
-                    seed=seed,
-                ),
-            }
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    replication_factor=factor,
-                    quorum=quorum if factor > 1 else "read-one-write-all",
-                )
-                row[(factor, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def replication_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[int, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a replication grid into JSON-ready rows.
-
-    One row per protocol × replication factor × scenario, carrying the SNOW
-    verdict, availability split by reads/writes, and the quorum measurements
-    — the machine-readable record tracked across PRs via
-    ``BENCH_replication.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (factor, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "replication_factor": factor,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "quorum": result.config.quorum if factor > 1 else "read-one-write-all",
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-                row["read_availability"] = round(faults.read_availability, 4)
-                row["write_availability"] = round(faults.write_availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.replication is not None:
-                row.update(metrics.replication.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_consensus_factor(
-    protocols: Sequence[str] = ("algorithm-b", "algorithm-c", "occ-double-collect"),
-    factors: Sequence[int] = (1, 3),
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 11,
-    crash_at: int = 14,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[int, str], ExperimentResult]]:
-    """The failover grid: protocol × consensus factor × coordinator fate.
-
-    Per factor, two scenarios run: ``none`` (fault-free baseline) and
-    ``crash-leader`` — a fail-stop of the coordinator's leader mid-run.  At
-    factor 1 the "leader" is the designated first storage server and the
-    crash stalls every coordinator-dependent transaction (the seed's single
-    point of failure); at factor ≥ 3 the surviving consensus members elect a
-    new leader after a bounded leaderless window and the run completes with
-    the fault-free verdicts.  Returns ``{protocol: {(factor, scenario):
-    result}}``.
-    """
-    from ..faults.scenarios import coordinator_failover
-    from ..txn.objects import object_names, server_for_object
-    from ..txn.placement import coordinator_group_names
-
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    single_coordinator = server_for_object(object_names(num_objects)[0])
-    grid: Dict[str, Dict[Tuple[int, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[int, str], ExperimentResult] = {}
-        for factor in factors:
-            group = coordinator_group_names(factor)
-            leader = group[0] if group else single_coordinator
-            scenarios: Dict[str, FaultPlan] = {
-                "none": FaultPlan.none(),
-                "crash-leader": coordinator_failover(leader=leader, at=crash_at, seed=seed),
-            }
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    consensus_factor=factor,
-                )
-                row[(factor, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def consensus_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[int, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a failover grid into JSON-ready rows.
-
-    One row per protocol × consensus factor × scenario, carrying the SNOW
-    verdict, availability, the election/term counters and the commit-latency
-    tax — the machine-readable record tracked across PRs via
-    ``BENCH_failover.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (factor, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "consensus_factor": factor,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-                row["read_availability"] = round(faults.read_availability, 4)
-                row["write_availability"] = round(faults.write_availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.consensus is not None:
-                row.update(metrics.consensus.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_persistence(
-    protocols: Sequence[str] = ("algorithm-b", "algorithm-c", "occ-double-collect"),
-    modes: Optional[Mapping[str, Optional[Any]]] = None,
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 11,
-    crash_at: int = 10,
-    recover_at: int = 45,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[str, str], ExperimentResult]]:
-    """The durability grid: protocol × persistence mode × coordinator fate.
-
-    Per mode (``None`` = the seed's volatile members, or any
-    :class:`~repro.persist.PersistencePolicy`), two scenarios run: ``none``
-    (fault-free baseline) and ``amnesia-member`` — a crash-with-amnesia of
-    one consensus member, recovered mid-run.  With a store attached the
-    amnesiac member recovers its term/vote/log instead of resetting, so the
-    verdict/availability columns match the fault-free baseline while the new
-    persistence block reports the recovery/compaction work it took.  Returns
-    ``{protocol: {(mode, scenario): result}}``.
-    """
-    from ..faults.plan import CrashEvent, RetryPolicy
-    from ..persist import PersistencePolicy
-
-    if modes is None:
-        modes = {
-            "volatile": None,
-            "durable": PersistencePolicy(),
-            "durable+compact": PersistencePolicy(compact_every=4),
-        }
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    scenarios: Dict[str, FaultPlan] = {
-        "none": FaultPlan.none(),
-        "amnesia-member": FaultPlan(
-            name="amnesia-member",
-            crashes=(
-                CrashEvent(server="coor.2", at=crash_at, recover=recover_at, preserve_state=False),
-            ),
-            retry=RetryPolicy(timeout_steps=10, max_attempts=8),
-            seed=seed,
-        ),
-    }
-    grid: Dict[str, Dict[Tuple[str, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[str, str], ExperimentResult] = {}
-        for mode_name, persistence in modes.items():
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    consensus_factor=3,
-                    persistence=persistence,
-                )
-                row[(mode_name, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def persistence_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[str, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a durability grid into JSON-ready rows.
-
-    One row per protocol × persistence mode × scenario: the SNOW verdict and
-    availability (the invariant columns the regression gate pins), the
-    election counters, and the persistence block (recoveries, checkpoints,
-    compaction ratio, retained-vs-total log length) — the machine-readable
-    record tracked across PRs via ``BENCH_persist.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (mode, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "persistence": mode,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.consensus is not None:
-                row["elections"] = metrics.consensus.elections
-                row["max_term"] = metrics.consensus.max_term
-            if metrics.persistence is not None:
-                row.update(metrics.persistence.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_lease(
-    protocols: Sequence[str] = ("algorithm-b", "algorithm-c", "occ-double-collect"),
-    modes: Optional[Mapping[str, Optional[Any]]] = None,
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 11,
-    crash_at: int = 12,
-    check_properties: bool = True,
-) -> Dict[str, Dict[Tuple[str, str], ExperimentResult]]:
-    """The leader-lease grid: protocol × lease mode × coordinator fate.
-
-    Per mode (``None`` = the seed's commit-everything read path, or anything
-    :class:`~repro.consensus.LeasePolicy` accepts), two scenarios run at
-    ``replication_factor=3`` + majority + ``consensus_factor=3``: ``steady``
-    (fault-free baseline) and ``leader-crash`` — the lease holder fail-stops
-    mid-run, so the grid crosses the read fast path with an election.  With
-    leases on, read-only coordinator requests (``get-tag-arr``) are served
-    locally under a quorum-proven window instead of round-tripping through
-    the replicated log; protocols whose coordinator requests all mutate
-    (OCC's ``get-ts`` mints a timestamp) pin the null effect — the knob
-    changes nothing.  Returns ``{protocol: {(mode, scenario): result}}``.
-    """
-    from ..faults.scenarios import coordinator_failover
-
-    if modes is None:
-        modes = {"none": None, "leased": True}
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    scenarios: Dict[str, FaultPlan] = {
-        "steady": FaultPlan.none(),
-        "leader-crash": coordinator_failover(leader="coor", at=crash_at, seed=seed),
-    }
-    grid: Dict[str, Dict[Tuple[str, str], ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[Tuple[str, str], ExperimentResult] = {}
-        for mode_name, leases in modes.items():
-            for scenario_name, plan in scenarios.items():
-                config = ExperimentConfig(
-                    protocol=protocol,
-                    num_readers=num_readers,
-                    num_writers=num_writers,
-                    num_objects=num_objects,
-                    workload=workload,
-                    scheduler="chaos",
-                    seed=seed,
-                    check_properties=check_properties,
-                    faults=plan,
-                    replication_factor=3,
-                    quorum="majority",
-                    consensus_factor=3,
-                    leases=leases,
-                )
-                row[(mode_name, scenario_name)] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def lease_grid_rows(
-    grid: Mapping[str, Mapping[Tuple[str, str], ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a lease grid into JSON-ready rows.
-
-    One row per protocol × lease mode × scenario: the SNOW verdict and
-    Lemma-20 column (``max_read_rounds``) the fast path must not disturb,
-    the commit-latency aggregate the leased read latency is compared
-    against, and the lease block (acquisitions/renewals/expiries, local
-    reads vs read applies, the commit-bypass latency histogram's summary) —
-    the machine-readable record tracked across PRs via ``BENCH_lease.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for (mode, scenario), result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            consensus = metrics.consensus
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "leases": mode,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-                "client_read_latency_mean": round(metrics.read_latency_steps.mean, 2)
-                if metrics.read_latency_steps.count
-                else None,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-            else:
-                row["availability"] = 1.0
-            if consensus is not None:
-                row["elections"] = consensus.elections
-                row["max_term"] = consensus.max_term
-                row["commit_latency_mean"] = (
-                    round(consensus.commit_latency.mean, 2)
-                    if consensus.commit_latency.count
-                    else None
-                )
-                row["commit_latency_p95"] = (
-                    round(consensus.commit_latency.p95, 2)
-                    if consensus.commit_latency.count
-                    else None
-                )
-                row.update(
-                    {
-                        key: value
-                        for key, value in consensus.as_dict().items()
-                        if key.startswith(("lease_", "local_read", "read_applies"))
-                    }
-                )
-            rows.append(row)
-    return rows
-
-
-def sweep_reconfig(
-    protocols: Sequence[str] = ("algorithm-a", "algorithm-b"),
-    replication_factor: int = 3,
-    quorum: str = "majority",
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 13,
-    loss_rates: Sequence[float] = (0.05, 0.15, 0.30),
-    check_properties: bool = True,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """The reconfiguration grid: protocol × membership scenario.
-
-    Per protocol at ``replication_factor=3`` + majority:
-
-    * ``none`` — fixed membership, the baseline every verdict is compared to;
-    * ``replace-dead-replica`` — the last replica of the first object's group
-      fail-stops, then a joint-consensus change swaps in a fresh replica (the
-      "replace a dead replica is an experiment, not an outage" scenario);
-    * ``grow-group`` — the first object's group grows rf 3 → 5 mid-run,
-      fault-free (state transfer before commit);
-    * ``lossy-replace-pNN`` (one per entry of ``loss_rates``) — the
-      replace-dead-replica change under uniform message loss, the axis that
-      shows epoch retries and the unavailability window growing with the
-      drop probability while the verdict columns stay put.
-
-    Returns ``{protocol: {scenario: result}}``.
-    """
-    from dataclasses import replace as dc_replace
-
-    from ..faults.plan import DropPolicy, RetryPolicy
-    from ..faults.scenarios import grow_group_mid_run, replace_dead_replica
-    from ..txn.objects import object_names
-
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    first_object = object_names(num_objects)[0]
-    scenarios: Dict[str, Tuple[Optional[FaultPlan], Any]] = {
-        "none": (None, None),
-        "replace-dead-replica": replace_dead_replica(
-            first_object, replication_factor, seed=seed
-        ),
-        "grow-group": grow_group_mid_run(first_object, replication_factor),
-    }
-    for probability in loss_rates:
-        plan, reconfig = replace_dead_replica(first_object, replication_factor, seed=seed)
-        name = f"lossy-replace-p{round(probability * 100):02d}"
-        scenarios[name] = (
-            dc_replace(
-                plan,
-                name=name,
-                drops=DropPolicy(probability=probability, max_consecutive=4),
-                retry=RetryPolicy(timeout_steps=10, max_attempts=8),
-            ),
-            reconfig,
-        )
-    grid: Dict[str, Dict[str, ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[str, ExperimentResult] = {}
-        for scenario_name, (plan, reconfig) in scenarios.items():
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=num_readers,
-                num_writers=num_writers,
-                num_objects=num_objects,
-                workload=workload,
-                scheduler="chaos",
-                seed=seed,
-                check_properties=check_properties,
-                faults=plan,
-                replication_factor=replication_factor,
-                quorum=quorum,
-                reconfig=reconfig,
-            )
-            row[scenario_name] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def reconfig_grid_rows(
-    grid: Mapping[str, Mapping[str, ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a reconfiguration grid into JSON-ready rows.
-
-    One row per protocol × scenario, carrying the SNOW verdict, availability,
-    the loss accounting of the lossy cells (drops and retransmissions grow
-    with the drop probability; ``total_messages`` counts unique protocol
-    messages, so it stays flat), and the reconfiguration accounting (epochs,
-    transfer volume, epoch retries, unavailability window) — the
-    machine-readable record tracked across PRs via ``BENCH_reconfig.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for scenario, result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-                row["messages_dropped"] = faults.messages_dropped
-                row["retransmissions"] = faults.retransmissions
-            else:
-                row["availability"] = 1.0
-            if metrics.replication is not None:
-                row["replication_factor"] = metrics.replication.replication_factor
-                row["quorum"] = metrics.replication.quorum
-            if metrics.reconfig is not None:
-                row.update(metrics.reconfig.as_dict())
-            rows.append(row)
-    return rows
-
-
-def sweep_controller(
-    protocols: Sequence[str] = (
-        "algorithm-a",
-        "algorithm-b",
-        "algorithm-c",
-        "occ-double-collect",
-        "eiger",
-        "naive-snow",
-    ),
-    replication_factor: int = 3,
-    quorum: str = "majority",
-    num_readers: int = 2,
-    num_writers: int = 2,
-    num_objects: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    seed: int = 17,
-    check_properties: bool = True,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """The self-healing grid: protocol family × controller scenario.
-
-    Two scenarios run per protocol at ``replication_factor=3`` + majority,
-    both with the rebalancing controller installed:
-
-    * ``none`` — fault-free; the controller probes but derives nothing (its
-      zero-plan behaviour is itself an acceptance criterion);
-    * ``auto-heal-dead-replica`` — the last replica of the first object's
-      group fail-stops with **no hand-authored plan**; the controller must
-      detect it and restore full group strength autonomously.
-
-    Returns ``{protocol: {scenario: result}}``.  The s2pl baseline is
-    excluded: its lock rounds block on a fail-stopped replica by design
-    (giving up N is its defining property), so dead-replica scenarios stall
-    regardless of membership machinery.
-    """
-    from ..consensus.controller import ControllerPolicy
-    from ..faults.scenarios import auto_heal
-    from ..txn.objects import object_names
-
-    workload = workload or WorkloadSpec(
-        reads_per_reader=6, writes_per_writer=3, read_size=num_objects, write_size=num_objects, seed=seed
-    )
-    first_object = object_names(num_objects)[0]
-    plan, policy = auto_heal(first_object, replication_factor, seed=seed)
-    scenarios: Dict[str, Tuple[Optional[FaultPlan], Any]] = {
-        "none": (None, ControllerPolicy()),
-        "auto-heal-dead-replica": (plan, policy),
-    }
-    grid: Dict[str, Dict[str, ExperimentResult]] = {}
-    for protocol in protocols:
-        row: Dict[str, ExperimentResult] = {}
-        for scenario_name, (fault_plan, controller) in scenarios.items():
-            config = ExperimentConfig(
-                protocol=protocol,
-                num_readers=num_readers,
-                num_writers=num_writers,
-                num_objects=num_objects,
-                workload=workload,
-                scheduler="chaos",
-                seed=seed,
-                check_properties=check_properties,
-                faults=fault_plan,
-                replication_factor=replication_factor,
-                quorum=quorum,
-                controller=controller,
-            )
-            row[scenario_name] = run_experiment(config)
-        grid[protocol] = row
-    return grid
-
-
-def controller_grid_rows(
-    grid: Mapping[str, Mapping[str, ExperimentResult]],
-) -> List[Dict[str, Any]]:
-    """Flatten a self-healing grid into JSON-ready rows.
-
-    One row per protocol × scenario, carrying the SNOW verdict,
-    availability, the controller accounting (probes, detections, derived
-    plans, time-to-heal, convergence) and the reconfiguration columns —
-    the machine-readable record tracked across PRs via
-    ``BENCH_controller.json``.
-    """
-    rows: List[Dict[str, Any]] = []
-    for protocol, cells in grid.items():
-        for scenario, result in cells.items():
-            metrics = result.metrics
-            faults = metrics.faults
-            row: Dict[str, Any] = {
-                "protocol": protocol,
-                "scenario": scenario,
-                "snow": result.property_string(),
-                "consistent": result.snow.satisfies_s if result.snow is not None else None,
-                "max_read_rounds": metrics.max_read_rounds(),
-                "total_messages": metrics.total_messages,
-            }
-            if faults is not None:
-                row["availability"] = round(faults.availability, 4)
-            else:
-                row["availability"] = 1.0
-            if metrics.replication is not None:
-                row["replication_factor"] = metrics.replication.replication_factor
-                row["quorum"] = metrics.replication.quorum
-            if metrics.reconfig is not None:
-                row.update(metrics.reconfig.as_dict())
-            if metrics.controller is not None:
-                row.update(metrics.controller.as_dict())
-            rows.append(row)
-    return rows
 
 
 def sweep_read_size(

@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, 
 
 from ..ioa.actions import Action, ActionKind, Message
 from ..ioa.simulation import Simulation, TransactionRecord
-from ..ioa.trace import Trace, TraceError
+from ..ioa.trace import Trace
 from ..txn.history import History, HistoryEntry
 from ..txn.transactions import ReadTransaction, WriteTransaction
 from .serializability import SerializabilityResult, check_strict_serializability
@@ -316,13 +316,11 @@ def check_snow(
     zero replies seen), not merely incomplete, so a partial record is
     refused loudly, mirroring :meth:`Trace.prefix`.
     """
-    if not simulation.trace.is_full():
-        raise TraceError(
-            f"check_snow() needs a full-mode trace (this one is "
-            f"{simulation.trace.mode.describe()}): the N/O checkers walk "
-            "per-message records and a partial record would yield wrong "
-            "verdicts, not just incomplete ones"
-        )
+    simulation.trace.require_full(
+        "check_snow()",
+        "the N/O checkers walk per-message records and a partial record "
+        "would yield wrong verdicts, not just incomplete ones",
+    )
     if history is None:
         history = History.from_simulation(simulation, objects=objects)
 

@@ -233,6 +233,18 @@ class Trace:
     def is_full(self) -> bool:
         return self.mode.kind == "full"
 
+    def require_full(self, caller: str, reason: str) -> None:
+        """Raise :class:`TraceError` unless every action was retained.
+
+        For consumers whose answer would be *wrong*, not merely incomplete,
+        on a ``sampled``/``ring`` record; ``reason`` says why.
+        """
+        if not self.is_full():
+            raise TraceError(
+                f"{caller} needs a full-mode trace (this one is "
+                f"{self.mode.describe()}): {reason}"
+            )
+
     # ------------------------------------------------------------------
     # Projections and filters
     # ------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Optional, Union
 
 from ..ioa.actions import Action, ActionKind
+from ..ioa.trace import Trace
 from .health import HealthPlane, HealthView, SLOPolicy
 from .monitor import MonitorSuite
 from .profiler import KernelProfiler
@@ -99,64 +100,14 @@ class ObservabilityPlane:
                     "kernel.messages_channel",
                     channel=simulation.topology.channel_class(message.src, message.dst),
                 ).inc()
-        elif action.kind is ActionKind.RECV and message is not None:
-            if message.msg_type == "ctl-ack":
-                registry.counter("controller.acks").inc()
-                sent = message.get("sent")
-                if isinstance(sent, int) and self.simulation is not None:
-                    registry.histogram("controller.probe_rtt").observe(
-                        max(0, self.simulation.now() - sent)
-                    )
-        elif action.kind is ActionKind.INTERNAL and action.info:
-            self._on_internal(dict(action.info))
+        elif action.kind is ActionKind.RECV or action.kind is ActionKind.INTERNAL:
+            count_protocol_events(registry, action, self.simulation)
         if self.health is not None:
             self.health.on_action(action)
         # Monitors run last so a halt_on_violation raise (which aborts the
         # kernel step mid-append) never loses the action from metrics/health.
         if self.monitors is not None:
             self.monitors.on_action(action)
-
-    def _on_internal(self, info: dict) -> None:
-        registry = self.registry
-        if info.get("timeout"):
-            registry.counter("kernel.timeouts_fired").inc()
-        consensus = info.get("consensus")
-        if consensus is not None:
-            registry.counter("consensus.events", kind=str(consensus)).inc()
-            term = info.get("term")
-            if term is not None:
-                gauge = registry.gauge("consensus.max_term")
-                if int(term) > int(gauge.value or 0):
-                    gauge.set(int(term))
-            if consensus == "became-leader":
-                registry.histogram("consensus.leader_elected_vtime").observe(
-                    int(info.get("vtime", 0))
-                )
-            elif consensus == "apply" and "commit_latency" in info:
-                registry.histogram("consensus.commit_latency").observe(
-                    int(info["commit_latency"])
-                )
-                if info.get("read"):
-                    registry.counter("consensus.read_applies").inc()
-            elif consensus == "local-read" and "read_latency" in info:
-                registry.histogram("consensus.lease_read_latency").observe(
-                    int(info["read_latency"])
-                )
-        reconfig = info.get("reconfig")
-        if isinstance(reconfig, str):  # timers carry reconfig=<request index>
-            registry.counter("reconfig.events", kind=reconfig).inc()
-        controller = info.get("controller")
-        if controller is not None:
-            registry.counter("controller.events", kind=str(controller)).inc()
-            vtime = info.get("vtime")
-            if controller == "tick":
-                registry.counter("controller.probes").inc(int(info.get("probes", 0)))
-            elif controller == "replica-dead" and vtime is not None:
-                gauge = registry.gauge("controller.first_dead_vtime")
-                if registry.counter_value("controller.events", kind="replica-dead") == 1:
-                    gauge.set(int(vtime))
-            elif controller == "healed" and vtime is not None:
-                registry.gauge("controller.last_heal_vtime").set(int(vtime))
 
     # -- rendering --------------------------------------------------------
     def describe(self) -> str:
@@ -169,3 +120,91 @@ class ObservabilityPlane:
             steps = self.simulation.steps_taken if self.simulation is not None else 0
             lines.append(self.profiler.report(steps=steps))
         return "\n".join(lines)
+
+
+def count_protocol_events(
+    registry: MetricsRegistry, action: Action, simulation: Optional[Any] = None
+) -> None:
+    """Count one action's consensus, reconfiguration and controller events.
+
+    The single source of the consensus and controller metric blocks: the
+    live plane calls it on every appended action, and
+    :func:`replay_protocol_events` feeds a finished trace through it when no
+    plane observed the run.  ``simulation`` supplies the virtual clock at
+    the action, which only a live observer knows; without it the
+    ``controller.probe_rtt`` histogram is left empty.
+    """
+    if action.kind is ActionKind.RECV:
+        # Acks are counted as delivered: one landing after the controller's
+        # final tick would be invisible to any per-tick counter.
+        message = action.message
+        if message is not None and message.msg_type == "ctl-ack":
+            registry.counter("controller.acks").inc()
+            sent = message.get("sent")
+            if isinstance(sent, int) and simulation is not None:
+                registry.histogram("controller.probe_rtt").observe(
+                    max(0, simulation.now() - sent)
+                )
+        return
+    if action.kind is not ActionKind.INTERNAL or not action.info:
+        return
+    info = dict(action.info)
+    if info.get("timeout"):
+        registry.counter("kernel.timeouts_fired").inc()
+    consensus = info.get("consensus")
+    if consensus is not None:
+        registry.counter("consensus.events", kind=str(consensus)).inc()
+        term = info.get("term")
+        if term is not None:
+            gauge = registry.gauge("consensus.max_term")
+            if int(term) > int(gauge.value or 0):
+                gauge.set(int(term))
+        if consensus == "became-leader":
+            registry.histogram("consensus.leader_elected_vtime").observe(
+                int(info.get("vtime", 0))
+            )
+        elif consensus == "apply":
+            if "commit_latency" in info:
+                registry.histogram("consensus.commit_latency").observe(
+                    int(info["commit_latency"])
+                )
+            if info.get("read"):
+                registry.counter("consensus.read_applies").inc()
+        elif consensus == "local-read" and "read_latency" in info:
+            registry.histogram("consensus.lease_read_latency").observe(
+                int(info["read_latency"])
+            )
+    reconfig = info.get("reconfig")
+    if isinstance(reconfig, str):  # timers carry reconfig=<request index>
+        registry.counter("reconfig.events", kind=reconfig).inc()
+    controller = info.get("controller")
+    if controller is not None:
+        registry.counter("controller.events", kind=str(controller)).inc()
+        vtime = info.get("vtime")
+        if controller == "tick":
+            registry.counter("controller.probes").inc(int(info.get("probes", 0)))
+        elif controller == "replica-dead" and vtime is not None:
+            gauge = registry.gauge("controller.first_dead_vtime")
+            if registry.counter_value("controller.events", kind="replica-dead") == 1:
+                gauge.set(int(vtime))
+        elif controller == "healed" and vtime is not None:
+            registry.gauge("controller.last_heal_vtime").set(int(vtime))
+
+
+def replay_protocol_events(trace: Trace) -> MetricsRegistry:
+    """Count a finished run's protocol events into a fresh registry.
+
+    The offline twin of a live plane's counting, for runs no plane
+    observed.  Needs a full-mode trace: a ``sampled``/``ring`` record has
+    forgotten most events, so its counts would be silently low.
+    """
+    trace.require_full(
+        "replay_protocol_events()",
+        "the consensus/controller counters replay every action and a partial "
+        "record would undercount them; attach an ObservabilityPlane to count "
+        "them live instead",
+    )
+    registry = MetricsRegistry()
+    for action in trace:
+        count_protocol_events(registry, action)
+    return registry

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import (
     ExperimentConfig,
+    FAULT_GRID,
     WorkloadSpec,
-    fault_grid_rows,
+    grid_rows,
     make_scheduler,
     run_experiment,
+    run_grid,
     scheduler_names,
-    sweep_fault_grid,
 )
 from repro.faults import ChaosScheduler, FaultPlan, fail_stop, lossy_network
 
@@ -109,15 +112,14 @@ class TestRunnerWithFaults:
         assert slow_lat.mean > base_lat.mean + 40
 
 
+def _fault_grid_rows(*protocols):
+    spec = replace(FAULT_GRID, protocols=protocols, seed=5, config={"workload": WORKLOAD})
+    return grid_rows(spec, run_grid(spec))
+
+
 class TestFaultGrid:
     def test_grid_shape_and_rows(self):
-        grid = sweep_fault_grid(
-            protocols=("simple-rw", "algorithm-b"),
-            num_objects=2,
-            workload=WORKLOAD,
-            seed=5,
-        )
-        rows = fault_grid_rows(grid)
+        rows = _fault_grid_rows("simple-rw", "algorithm-b")
         protocols = {row["protocol"] for row in rows}
         scenarios = {row["scenario"] for row in rows}
         assert protocols == {"simple-rw", "algorithm-b"}
@@ -127,6 +129,6 @@ class TestFaultGrid:
             assert "availability" in row and "snow" in row
 
     def test_default_crash_scenario_targets_a_real_server(self):
-        grid = sweep_fault_grid(protocols=("simple-rw",), num_objects=2, workload=WORKLOAD, seed=5)
-        crash_row = [r for r in fault_grid_rows(grid) if r["scenario"] == "crash-recover"][0]
+        rows = _fault_grid_rows("simple-rw")
+        crash_row = [r for r in rows if r["scenario"] == "crash-recover"][0]
         assert crash_row["crashes"] == 1  # the crash actually happened

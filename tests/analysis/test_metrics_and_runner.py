@@ -1,4 +1,4 @@
-"""Tests for metric aggregation, the experiment runner, sweeps and reporting."""
+"""Tests for metric aggregation, the experiment runner, sweeps, grid rows and reporting."""
 
 from __future__ import annotations
 
@@ -7,6 +7,13 @@ import math
 import pytest
 
 from repro.analysis import (
+    CONTROLLER_GRID,
+    FAILOVER_GRID,
+    FAULT_GRID,
+    LEASE_GRID,
+    PERSISTENCE_GRID,
+    RECONFIG_GRID,
+    REPLICATION_GRID,
     AggregateStats,
     ExperimentConfig,
     WorkloadSpec,
@@ -25,7 +32,11 @@ from repro.analysis import (
     sweep_rounds_vs_contention,
     sweep_versions_vs_writers,
 )
+from repro.consensus.controller import ControllerPolicy
+from repro.faults.plan import CrashEvent, FaultPlan, Partition, RetryPolicy
 from repro.ioa import FIFOScheduler, LIFOScheduler, RandomScheduler
+from repro.persist import PersistencePolicy
+from repro.txn.placement import replica_names
 from tests.conftest import build_system, run_simple_workload
 
 
@@ -75,6 +86,85 @@ class TestCollectMetrics:
         run_simple_workload(handle, rounds=1)
         text = collect_metrics(handle.simulation, "algorithm-b").describe()
         assert "read rounds" in text and "write latency" in text
+
+
+class TestAsRow:
+    """``ExperimentMetrics.as_row()``: the flat row the experiment grids
+    take their committed columns from."""
+
+    @pytest.fixture(scope="class")
+    def everything(self):
+        """One run that populates every metric block: faults (with a
+        healed partition), replication, consensus with leases, persistence
+        and the controller (hence reconfiguration).  Two crashes recover,
+        but only the amnesiac consensus member recovers from its store."""
+        plan = FaultPlan(
+            name="everything",
+            crashes=(
+                CrashEvent(server="coor.2", at=10, recover=45, preserve_state=False),
+                CrashEvent(server=replica_names("oy", 3)[-1], at=8, recover=30),
+            ),
+            partitions=(
+                Partition(left=("r1",), right=(replica_names("ox", 3)[0],), start=5, heal=25),
+            ),
+            retry=RetryPolicy(timeout_steps=10, max_attempts=8),
+            seed=11,
+        )
+        config = ExperimentConfig(
+            protocol="algorithm-b",
+            scheduler="chaos",
+            seed=11,
+            replication_factor=3,
+            quorum="majority",
+            consensus_factor=3,
+            leases=True,
+            persistence=PersistencePolicy(),
+            controller=ControllerPolicy(),
+            faults=plan,
+            workload=WorkloadSpec(reads_per_reader=4, writes_per_writer=2, seed=11),
+            check_properties=False,
+        )
+        return run_experiment(config).metrics
+
+    def test_recoveries_resolve_to_the_store_block(self, everything):
+        row = everything.as_row()
+        assert row["recoveries"] == everything.persistence.recoveries == 1
+        assert row["fault_recoveries"] == everything.faults.recoveries == 2
+
+    def test_lease_free_consensus_row_has_no_lease_columns(self):
+        config = ExperimentConfig(
+            protocol="algorithm-b",
+            consensus_factor=3,
+            workload=WorkloadSpec(reads_per_reader=3, writes_per_writer=2, seed=4),
+            check_properties=False,
+        )
+        row = run_experiment(config).metrics.as_row()
+        assert row["entries_applied"] > 0
+        assert not [key for key in row if key.startswith(("lease_", "local_read"))]
+
+    def test_every_grid_column_is_an_as_row_key(self, everything):
+        row = everything.as_row()
+        for spec in (
+            FAULT_GRID,
+            REPLICATION_GRID,
+            FAILOVER_GRID,
+            PERSISTENCE_GRID,
+            LEASE_GRID,
+            RECONFIG_GRID,
+            CONTROLLER_GRID,
+        ):
+            missing = {spec.renames.get(c, c) for c in spec.columns} - set(row)
+            assert not missing, (spec.name, missing)
+
+    def test_partition_duration_only_for_partitioned_plans(self, everything):
+        assert everything.as_row()["partition_duration"] == 20
+        config = ExperimentConfig(
+            protocol="simple-rw",
+            scheduler="chaos",
+            faults=FaultPlan.none(),
+            workload=WorkloadSpec(reads_per_reader=2, writes_per_writer=1, seed=2),
+        )
+        assert "partition_duration" not in run_experiment(config).metrics.as_row()
 
 
 class TestRunner:

@@ -1,13 +1,16 @@
-"""ConsensusMetrics collection and the failover sweep's machine-readable rows."""
+"""ConsensusMetrics collection and the failover grid's machine-readable rows."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.analysis import (
+    FAILOVER_GRID,
     ExperimentConfig,
     WorkloadSpec,
-    consensus_grid_rows,
+    grid_rows,
     run_experiment,
-    sweep_consensus_factor,
+    run_grid,
 )
 from repro.faults import coordinator_failover
 
@@ -54,13 +57,13 @@ def test_consensus_metrics_under_failover():
     assert metrics.leader_elected_at  # vtimes recorded for window analysis
 
 
-def test_sweep_consensus_factor_rows_tell_the_story():
-    grid = sweep_consensus_factor(
+def test_failover_grid_rows_tell_the_story():
+    spec = replace(
+        FAILOVER_GRID,
         protocols=("algorithm-b",),
-        factors=(1, 3),
-        workload=WorkloadSpec(reads_per_reader=4, writes_per_writer=2, seed=11),
+        config={"workload": WorkloadSpec(reads_per_reader=4, writes_per_writer=2, seed=11)},
     )
-    rows = consensus_grid_rows(grid)
+    rows = grid_rows(spec, run_grid(spec))
     cells = {(r["consensus_factor"], r["scenario"]): r for r in rows}
     assert set(cells) == {(1, "none"), (1, "crash-leader"), (3, "none"), (3, "crash-leader")}
 

@@ -1,21 +1,22 @@
 """The plane's registry agrees with the trace it observed.
 
-The analysis collectors read the registry when a plane is present and walk
-the trace otherwise; these tests pin the two paths to *equal* results on
-the very same simulation — the registry is a cache of the trace, never a
-second source of truth.
+The consensus and controller metric blocks have one source: the plane's
+protocol-event counting.  A run the plane observed is counted live; any
+other run's trace is replayed through the same counting into a fresh
+registry.  These tests pin the two to *equal* blocks on the very same
+simulation, and pin the replay's refusal of a partial trace.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
-from repro.analysis.metrics import (
-    _collect_consensus_metrics,
-    _collect_controller_metrics,
-)
+import pytest
+
+from repro.analysis import ExperimentConfig, WorkloadSpec, collect_metrics, run_experiment
 from repro.faults import ChaosScheduler, auto_heal
-from repro.ioa import FIFOScheduler
+from repro.ioa import FIFOScheduler, TraceError, TraceMode
 from repro.ioa.actions import ActionKind
 
 from tests.obs.conftest import run_observed
@@ -25,15 +26,17 @@ def chaos_fifo():
     return ChaosScheduler(base=FIFOScheduler())
 
 
-def both_collector_paths(collector, simulation, *extra):
-    """Run a gated collector through the registry path and the walk path."""
-    from_registry = collector(simulation, *extra)
+def live_and_replayed(handle):
+    """``collect_metrics`` through the live plane's registry, then through
+    an offline replay of the same trace."""
+    simulation = handle.simulation
+    live = collect_metrics(simulation, directory=handle.directory)
     plane, simulation.obs = simulation.obs, None
     try:
-        from_walk = collector(simulation, *extra)
+        replayed = collect_metrics(simulation, directory=handle.directory)
     finally:
         simulation.obs = plane
-    return from_registry, from_walk
+    return live, replayed
 
 
 def test_kernel_event_counters_match_the_trace():
@@ -84,7 +87,7 @@ def test_mailbox_depth_gauges_track_the_pending_set():
         assert gauge["max"] >= gauge["value"] >= 0
 
 
-def test_consensus_block_from_registry_equals_trace_walk():
+def test_consensus_block_live_equals_offline_replay():
     handle, _plane = run_observed(
         "algorithm-b",
         scheduler=chaos_fifo(),
@@ -92,19 +95,17 @@ def test_consensus_block_from_registry_equals_trace_walk():
         consensus_factor=3,
         run_to_completion=False,
     )
-    from_registry, from_walk = both_collector_paths(
-        _collect_consensus_metrics, handle.simulation
-    )
-    assert from_registry is not None
-    assert from_registry == from_walk
-    assert from_registry.entries_applied > 0
+    live, replayed = live_and_replayed(handle)
+    assert live.consensus is not None
+    assert live.consensus == replayed.consensus
+    assert live.consensus.entries_applied > 0
 
 
 def test_consensus_block_parity_holds_with_leases_on():
     """The lease counters and the read-latency histogram extend *both*
-    collector paths identically: a leased run's consensus block from the
-    registry equals the one from the trace walk, and the lease activity is
-    really in it."""
+    paths identically: a leased run's consensus block counted live equals
+    the one replayed from the trace, and the lease activity is really in
+    it."""
     handle, _plane = run_observed(
         "algorithm-b",
         scheduler=chaos_fifo(),
@@ -113,18 +114,17 @@ def test_consensus_block_parity_holds_with_leases_on():
         leases=True,
         run_to_completion=False,
     )
-    from_registry, from_walk = both_collector_paths(
-        _collect_consensus_metrics, handle.simulation
-    )
-    assert from_registry is not None
-    assert from_registry == from_walk
-    assert from_registry.lease_acquisitions >= 1
-    assert from_registry.local_reads >= 1
-    assert from_registry.lease_read_latency.count == from_registry.local_reads
-    assert from_registry.local_read_ratio == 1.0  # every read served locally
+    live, replayed = live_and_replayed(handle)
+    block = live.consensus
+    assert block is not None
+    assert block == replayed.consensus
+    assert block.lease_acquisitions >= 1
+    assert block.local_reads >= 1
+    assert block.lease_read_latency.count == block.local_reads
+    assert block.local_read_ratio == 1.0  # every read served locally
 
 
-def test_controller_block_from_registry_equals_trace_walk():
+def test_controller_block_live_equals_offline_replay():
     plan, policy = auto_heal()
     handle, plane = run_observed(
         "algorithm-b",
@@ -136,16 +136,42 @@ def test_controller_block_from_registry_equals_trace_walk():
         controller=policy,
         run_to_completion=False,
     )
-    from_registry, from_walk = both_collector_paths(
-        _collect_controller_metrics, handle.simulation, handle.directory
-    )
-    assert from_registry is not None
-    assert from_registry == from_walk
-    assert from_registry.healed >= 1  # the scenario's whole point
+    live, replayed = live_and_replayed(handle)
+    assert live.controller is not None
+    assert live.controller == replayed.controller
+    assert live.controller.healed >= 1  # the scenario's whole point
     # probe RTTs: one observation per delivered ack, all non-negative
     rtts = plane.registry.histogram_values("controller.probe_rtt")
-    assert len(rtts) == from_registry.acks
+    assert len(rtts) == live.controller.acks
     assert all(value >= 0 for value in rtts)
+
+
+def _consensus_run(**overrides):
+    """Algorithm B at rf=3 majority, cf=3: 40 reads and 20 writes per client."""
+    config = ExperimentConfig(
+        protocol="algorithm-b",
+        replication_factor=3,
+        quorum="majority",
+        consensus_factor=3,
+        seed=3,
+        workload=WorkloadSpec(reads_per_reader=40, writes_per_writer=20, seed=3),
+        check_properties=False,
+    )
+    return run_experiment(replace(config, **overrides))
+
+
+def test_ring_trace_without_a_plane_refuses_to_undercount():
+    """A ring keeps only the newest records, so replaying it would count a
+    fraction of the consensus events; collection refuses instead."""
+    with pytest.raises(TraceError, match="full-mode trace"):
+        _consensus_run(trace_mode=TraceMode.ring(256))
+
+
+def test_ring_trace_with_a_plane_counts_like_the_full_trace():
+    full = _consensus_run().metrics.consensus
+    ring = _consensus_run(trace_mode=TraceMode.ring(256), observe=True).metrics.consensus
+    assert ring == full
+    assert full.entries_applied == full.commit_latency.count > 256
 
 
 def test_chaos_scheduler_counters_populate_under_the_plane():

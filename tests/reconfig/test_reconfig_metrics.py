@@ -1,16 +1,19 @@
-"""ReconfigMetrics collection and the reconfiguration sweep grid."""
+"""ReconfigMetrics collection and the reconfiguration grid."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import (
+    RECONFIG_GRID,
     ExperimentConfig,
     ReconfigMetrics,
     WorkloadSpec,
-    reconfig_grid_rows,
+    grid_rows,
     run_experiment,
-    sweep_reconfig,
+    run_grid,
 )
 from repro.faults import grow_group_mid_run, replace_dead_replica
 
@@ -87,17 +90,22 @@ class TestReconfigMetrics:
         assert block.transfer_versions >= 2
 
 
-class TestSweep:
+class TestGrid:
     @pytest.fixture(scope="class")
-    def grid(self):
-        return sweep_reconfig(
-            protocols=("algorithm-b",),
-            workload=WorkloadSpec(reads_per_reader=4, writes_per_writer=2, read_size=2, write_size=2, seed=13),
+    def rows(self):
+        workload = WorkloadSpec(
+            reads_per_reader=4, writes_per_writer=2, read_size=2, write_size=2, seed=13
         )
+        spec = replace(
+            RECONFIG_GRID,
+            protocols=("algorithm-b",),
+            config={**RECONFIG_GRID.config, "workload": workload},
+        )
+        return grid_rows(spec, run_grid(spec))
 
-    def test_grid_shape(self, grid):
-        assert set(grid) == {"algorithm-b"}
-        assert set(grid["algorithm-b"]) == {
+    def test_grid_shape(self, rows):
+        assert {r["protocol"] for r in rows} == {"algorithm-b"}
+        assert {r["scenario"] for r in rows} == {
             "none",
             "replace-dead-replica",
             "grow-group",
@@ -106,16 +114,14 @@ class TestSweep:
             "lossy-replace-p30",
         }
 
-    def test_rows_carry_reconfig_columns(self, grid):
-        rows = reconfig_grid_rows(grid)
+    def test_rows_carry_reconfig_columns(self, rows):
         by_scenario = {r["scenario"]: r for r in rows}
         assert "epochs" not in by_scenario["none"]
         assert by_scenario["replace-dead-replica"]["epochs"] == 2
         assert by_scenario["grow-group"]["transfer_versions"] >= 2
 
-    def test_acceptance_row(self, grid):
+    def test_acceptance_row(self, rows):
         """The acceptance criteria of the reconfiguration layer, as data."""
-        rows = reconfig_grid_rows(grid)
         by_scenario = {r["scenario"]: r for r in rows}
         replaced = by_scenario["replace-dead-replica"]
         assert replaced["availability"] == 1.0

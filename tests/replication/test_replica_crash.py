@@ -10,9 +10,11 @@ experiments showed; the contrast is the point.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.analysis import replication_grid_rows, sweep_replication_factor
+from repro.analysis import REPLICATION_GRID, grid_rows, run_grid
 from repro.faults import ChaosScheduler, FaultInjector, FaultPlan
 from repro.faults.plan import CrashEvent
 from repro.ioa import FIFOScheduler
@@ -89,10 +91,15 @@ def test_algorithm_a_survives_even_a_primary_crash():
     assert crashed.snow_report().property_string() == "SNOW"
 
 
-def test_replication_sweep_grid_shape_and_story():
-    """The sweep emits machine-readable rf × scenario rows with the story."""
-    grid = sweep_replication_factor(protocols=("algorithm-b",), factors=(1, 3))
-    rows = replication_grid_rows(grid)
+def test_replication_grid_shape_and_story():
+    """The grid emits machine-readable rf × scenario rows with the story."""
+    axis = REPLICATION_GRID.axes["replication_factor"]
+    spec = replace(
+        REPLICATION_GRID,
+        protocols=("algorithm-b",),
+        axes={"replication_factor": {factor: axis[factor] for factor in (1, 3)}},
+    )
+    rows = grid_rows(spec, run_grid(spec))
     cells = {(r["replication_factor"], r["scenario"]): r for r in rows}
     assert set(cells) == {(1, "none"), (1, "crash-replica"), (3, "none"), (3, "crash-replica")}
     assert cells[(1, "crash-replica")]["availability"] < 1.0
