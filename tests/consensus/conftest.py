@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import ChaosScheduler, coordinator_failover
-from repro.ioa import FIFOScheduler
+from repro.faults import ChaosScheduler, FaultInjector, FaultPlan, coordinator_failover
+from repro.faults.plan import CrashEvent, DropPolicy, DuplicatePolicy, RetryPolicy
+from repro.ioa import FIFOScheduler, RandomScheduler
+from repro.protocols import get_protocol
 
 from tests import invariants
 from tests.invariants import consensus_internals  # noqa: F401  (re-exported)
@@ -58,6 +60,61 @@ def run_consensus_workload(
         leases=leases,
         run_to_completion=run_to_completion,
     )
+
+
+def long_chaos_plan(seed: int, crash=None) -> FaultPlan:
+    """5% drop + 5% duplicate with retransmission, plus optional crashes."""
+    return FaultPlan(
+        name="long-chaos",
+        drops=DropPolicy(probability=0.05, max_consecutive=4),
+        duplicates=DuplicatePolicy(probability=0.05),
+        retry=RetryPolicy(timeout_steps=10, max_attempts=8),
+        crashes=(crash,) if crash is not None else (),
+        seed=seed,
+    )
+
+
+def amnesia_leader(at: int = 60, outage: int = 40) -> CrashEvent:
+    """Crash-with-amnesia of the bootstrap leader ``coor`` for ``outage``."""
+    return CrashEvent(server="coor", at=at, recover=at + outage, preserve_state=False)
+
+
+def run_long_workload(
+    protocol_name: str,
+    seed: int,
+    plan=None,
+    ops_per_client: int = 12,
+    **knobs,
+):
+    """2 readers x 12 reads and 2 writers x 12 writes on 3 objects at cf=3
+    under ``ChaosScheduler(RandomScheduler(seed), seed)``, explicit ids.
+
+    Long enough for several checkpoints, a recovery from a snapshot and a
+    snapshot install at a lagging member; ``knobs`` go to
+    ``Protocol.build``.  Runs until idle (stranded transactions stay
+    visible to the caller) and registers the handle."""
+    protocol = get_protocol(protocol_name)
+    handle = protocol.build(
+        num_readers=2 if protocol.supports_multiple_readers else 1,
+        num_writers=2,
+        num_objects=3,
+        scheduler=ChaosScheduler(base=RandomScheduler(seed=seed), seed=seed),
+        seed=seed,
+        consensus_factor=3,
+        fault_plane=FaultInjector(plan, seed=seed) if plan is not None else None,
+        **knobs,
+    )
+    for round_ in range(1, ops_per_client + 1):
+        for number, writer in enumerate(handle.writers, start=1):
+            handle.submit_write(
+                {obj: f"v{round_}.{number}-{obj}" for obj in handle.objects},
+                writer=writer,
+                txn_id=f"W{number}.{round_}",
+            )
+        for number, reader in enumerate(handle.readers, start=1):
+            handle.submit_read(handle.objects, reader=reader, txn_id=f"R{number}.{round_}")
+    handle.run()
+    return invariants.register(handle)
 
 
 def leader_crash_plan(at: int = 12, seed: int = 3):
