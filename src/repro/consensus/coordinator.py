@@ -21,6 +21,23 @@ of the same id just re-send the memoized reply.  Surplus replies are dropped
 by the clients (their awaits match the first), so client-visible behaviour is
 exactly the single-coordinator behaviour.
 
+Every transition goes through one apply path.  ``_apply_request`` runs the
+transition and memoizes its reply at most once per id: for an ordinary
+entry, for each sub-request of a BATCH entry, for the ``cns-reconfig-done``
+reply of a committed C_new, and for a lease-served local read.
+``_apply_committed`` walks the committed suffix in index order and calls
+it; the live walk announces each step (``apply`` record, buffer pop,
+leader reply), and recovery from stable storage runs the same walk
+silently.  Snapshots, whether recovered or leader-shipped, are adopted
+through ``_adopt_snapshot``.
+
+Compaction never runs mid-apply or while joint.  A checkpoint is taken only
+at the end of the outermost apply walk: applying a committed joint entry
+can re-enter the walk (the leader appends C_new and commits), and a
+snapshot taken there would claim entries the outer walk has not applied
+yet.  ``checkpoint`` also refuses while the newest configuration is joint,
+so the joint entry stays addressable until C_new is proposed.
+
 Elections
 ---------
 Event-driven Raft: a member arms its (seeded, randomized) election timer only
@@ -36,7 +53,8 @@ leader is replaced within a bounded number of timeout windows (the
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ioa.actions import Message
 from ..ioa.automaton import Context, ServerAutomaton
@@ -57,10 +75,6 @@ RECONFIG = "cns-reconfig"
 #: (Raft's rule), not when they commit; while the latest config entry is a
 #: joint one, elections and commits need majorities in both configurations.
 CONFIG = "cns-config"
-
-
-def _freeze_payload(payload: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return tuple(sorted(payload.items(), key=lambda kv: kv[0]))
 
 
 class _PendingRequest:
@@ -122,27 +136,36 @@ class ReplicatedCoordinator(ServerAutomaton):
         bootstrap_leader: Optional[str] = None,
     ) -> None:
         super().__init__(name)
-        self.group: Tuple[str, ...] = tuple(group)
-        if name not in self.group:
-            raise SimulationError(f"consensus member {name!r} is not in its group {self.group}")
+        group = tuple(group)
+        if name not in group:
+            raise SimulationError(f"consensus member {name!r} is not in its group {group}")
         self.machine = machine
         self.seed = seed
         self.election_timeout = tuple(election_timeout)
         #: the configuration this member was constructed with; the live
         #: ``self.group`` is re-derived from the newest config entry in the
         #: log (``_refresh_config``) and falls back to this one.
-        self._initial_group: Tuple[str, ...] = self.group
-        #: ``(old, new)`` while the newest config entry in the log is joint
-        self.joint: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
+        self._initial_group: Tuple[str, ...] = group
         #: a late-joining member names a *current* member as its bootstrap
         #: leader so it never believes itself leader of term 1
-        self.bootstrap_leader = bootstrap_leader if bootstrap_leader is not None else self.group[0]
+        self.bootstrap_leader = bootstrap_leader if bootstrap_leader is not None else group[0]
+        #: times this member recovered from stable storage (stats)
+        self.recoveries = 0
+        #: checkpoints this member took (stats)
+        self.checkpoints = 0
+        self._reset_volatile()
+
+    def _reset_volatile(self) -> None:
+        """The state a member starts with, and all that amnesia wipes."""
+        self.group: Tuple[str, ...] = self._initial_group
+        #: ``(old, new)`` while the newest config entry in the log is joint
+        self.joint: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None
         self.election = LeaderElection(
-            member=name,
-            index=self.group.index(name),
+            member=self.name,
+            index=self.group.index(self.name),
             group_size=len(self.group),
             initial_leader=self.bootstrap_leader,
-            seed=seed,
+            seed=self.seed,
             timeout_range=self.election_timeout,
         )
         self.log = ConsensusLog()
@@ -175,10 +198,6 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: checkpoint, a leader-installed one, or the recovered one); the
         #: log's compacted prefix is exactly what this covers
         self._snapshot: Optional[Dict[str, Any]] = None
-        #: times this member recovered from stable storage (stats)
-        self.recoveries = 0
-        #: checkpoints this member took (stats)
-        self.checkpoints = 0
         # Lease state (all inert unless ``lease_policy`` is installed):
         #: leader-side lease bookkeeping, created lazily on the first read
         self._lease: Optional[LeaderLeaseState] = None
@@ -197,6 +216,14 @@ class ReplicatedCoordinator(ServerAutomaton):
     @property
     def peers(self) -> Tuple[str, ...]:
         return tuple(m for m in self.group if m != self.name)
+
+    def _broadcast(self, send: Callable[[str], None], ctx: Context) -> None:
+        """``send(peer)`` to every peer, as one kernel flight when
+        ``batch_fanout`` is set."""
+        peers = self.peers
+        with ctx.flight() if self.batch_fanout and len(peers) > 1 else nullcontext():
+            for peer in peers:
+                send(peer)
 
     # ------------------------------------------------------------------
     # Configuration (joint consensus)
@@ -229,21 +256,24 @@ class ReplicatedCoordinator(ServerAutomaton):
             self.joint = (old, new)
             self.group = old + tuple(m for m in new if m not in old)
 
+    def _config_at(self, through: int) -> Optional[Tuple[Tuple[str, Any], ...]]:
+        """The configuration in force at index ``through``: the newest
+        CONFIG payload at an index <= ``through``, falling back to the one
+        the snapshot carries (None: the construction-time group)."""
+        entry = self.log.newest(CONFIG, through)
+        if entry is not None:
+            return entry.payload
+        return self._snapshot.get("config") if self._snapshot is not None else None
+
     def _refresh_config(self) -> None:
-        """Adopt the newest configuration entry in the log (Raft's rule:
-        a configuration takes effect when it is appended, not committed).
-        A compacted log falls back to the configuration its snapshot
-        carries, then to the construction-time group."""
-        for entry in reversed(self.log.entries):
-            if entry.msg_type != CONFIG:
-                continue
-            self._adopt_config(dict(entry.payload))
-            return
-        if self._snapshot is not None and self._snapshot.get("config") is not None:
-            self._adopt_config(dict(self._snapshot["config"]))
-            return
-        self.group = self._initial_group
-        self.joint = None
+        """Adopt the newest configuration (Raft's rule: a configuration
+        takes effect when it is appended, not committed)."""
+        config = self._config_at(self.log.last_index)
+        if config is None:
+            self.group = self._initial_group
+            self.joint = None
+        else:
+            self._adopt_config(dict(config))
 
     def _append_config_entry(
         self,
@@ -261,7 +291,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                 term=self.election.term,
                 request_id=request_id,
                 msg_type=CONFIG,
-                payload=_freeze_payload({"phase": phase, **payload}),
+                payload=tuple(sorted({"phase": phase, **payload}.items())),
                 client=client,
                 proposed_at=ctx.vtime,
             )
@@ -275,18 +305,16 @@ class ReplicatedCoordinator(ServerAutomaton):
             group=",".join(self.joint[1] if self.joint else self.group),
         )
 
-    def _append_config(
-        self,
-        request_id: str,
-        phase: str,
-        payload: Mapping[str, Any],
-        client: str,
-        ctx: Context,
-    ) -> None:
-        """Append a configuration entry, adopt it, and replicate."""
-        self._append_config_entry(request_id, phase, payload, client, ctx)
-        self._replicate(ctx)
-        self._maybe_commit(ctx)
+    def _append_joint(self, request_id: str, request: _PendingRequest, ctx: Context) -> None:
+        """Enter a membership change into the log as its joint entry."""
+        payload = dict(request.payload)
+        self._append_config_entry(
+            request_id,
+            "joint",
+            {"old": tuple(payload.get("old", ())), "new": tuple(payload.get("new", ()))},
+            request.client,
+            ctx,
+        )
 
     def forget(self) -> None:
         """Crash-with-amnesia hook: lose *all* volatile state.
@@ -299,35 +327,12 @@ class ReplicatedCoordinator(ServerAutomaton):
         volatile wipe is followed by :meth:`_recover`, and amnesia degrades
         to ordinary crash-recovery.
         """
-        self.group = self._initial_group
-        self.joint = None
-        self._handoff_pending = False
-        self.election = LeaderElection(
-            member=self.name,
-            index=self.group.index(self.name),
-            group_size=len(self.group),
-            initial_leader=self.bootstrap_leader,
-            seed=self.seed,
-            timeout_range=self.election_timeout,
-        )
+        self._reset_volatile()
         if self.name == self.bootstrap_leader:
             # A blank bootstrap leader must not resume leading: it lost its log.
             self.election.step_down(self.election.term)
-        self.log = ConsensusLog()
         self.leader = None
-        self.pending = OrderedDict()
-        self._batch = OrderedDict()
-        self.applied_replies = {}
-        self.next_index = {}
-        self.match_index = {}
         self.machine.reset()
-        self._timer_live = False
-        self._repair = False
-        self._snapshot = None
-        self._lease = None
-        self._term_start_index = 0
-        self._promise_until = 0
-        self._promise_holder = None
         if self.stable_store is not None:
             self._recover()
 
@@ -351,10 +356,12 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._recover()
 
     def _recover(self) -> None:
-        """Reload term/vote/log from the stable store and replay the
-        committed prefix into the (reset) state machine.  Trace-invisible:
-        no sends, no internal actions — recovery changes what the member
-        *knows*, and only its later behaviour shows it."""
+        """Reload term/vote/log from the stable store and re-apply the
+        committed suffix past the snapshot, silently.  Trace-invisible: no
+        sends, no internal actions, no checkpoint — recovery changes what
+        the member *knows*, and only its later behaviour shows it (clients
+        got their replies before the crash; a retransmitted request finds
+        the memoized one)."""
         store = self.stable_store
         meta = store.load_meta()
         if meta is not None:
@@ -362,68 +369,32 @@ class ReplicatedCoordinator(ServerAutomaton):
         self.election.attach_store(store)
         self.leader = None
         snapshot = store.load_snapshot()
+        base = (0, 0)
         if snapshot is not None:
-            self._snapshot = snapshot
-            self.machine.restore(snapshot["machine"])
-            self.applied_replies = dict(snapshot["replies"])
-            self.log.restore(
-                int(snapshot["index"]), int(snapshot["term"]),
-                store.load_entries(), store.load_commit(),
-            )
-        else:
-            self.log.restore(0, 0, store.load_entries(), store.load_commit())
+            self._adopt_snapshot(snapshot, restore=True)
+            base = (int(snapshot["index"]), int(snapshot["term"]))
+        self.log.restore(*base, store.load_entries(), store.load_commit())
         self.log.attach_store(store)
         self._refresh_config()
-        self._replay_committed()
+        self._apply_committed(None)
         self.recoveries += 1
 
-    def _replay_committed(self) -> None:
-        """Recovery twin of :meth:`_apply_committed`: same exactly-once
-        dedup, but applied silently — no replies are re-sent (clients got
-        them before the crash; a retransmitted request finds the memoized
-        reply) and no trace records are appended."""
-        for _index, entry in self.log.take_unapplied():
-            if entry.is_noop():
-                continue
-            if entry.msg_type == BATCH:
-                for request_id, msg_type, payload, client in entry.batch_requests():
-                    if request_id not in self.applied_replies:
-                        reply_type, reply_payload = self.machine.apply(msg_type, dict(payload))
-                        self.applied_replies[request_id] = (client, reply_type, reply_payload)
-                continue
-            if entry.msg_type == CONFIG:
-                payload = dict(entry.payload)
-                if payload.get("phase") == "new":
-                    request_id = str(payload.get("request", ""))
-                    if request_id and request_id not in self.applied_replies:
-                        self.applied_replies[request_id] = (
-                            entry.client,
-                            "cns-reconfig-done",
-                            {
-                                "reconfig": int(request_id.rsplit("/", 1)[-1]),
-                                "group": tuple(payload.get("group", ())),
-                            },
-                        )
-                continue
-            if entry.request_id not in self.applied_replies:
-                reply_type, reply_payload = self.machine.apply(
-                    entry.msg_type, dict(entry.payload)
-                )
-                self.applied_replies[entry.request_id] = (entry.client, reply_type, reply_payload)
+    def _adopt_snapshot(self, snapshot: Dict[str, Any], restore: bool) -> None:
+        """Make ``snapshot`` this member's newest.  With ``restore`` the
+        machine and reply cache are reset to the snapshot's; otherwise the
+        live machine already applied past it and only absorbs the replies
+        it never saw."""
+        if restore:
+            self.machine.restore(snapshot["machine"])
+            self.applied_replies = dict(snapshot["replies"])
+        else:
+            for request_id, reply in dict(snapshot["replies"]).items():
+                self.applied_replies.setdefault(request_id, reply)
+        self._snapshot = snapshot
 
     # ------------------------------------------------------------------
     # Checkpointing / log compaction
     # ------------------------------------------------------------------
-    def _config_at(self, through: int) -> Optional[Tuple[Tuple[str, Any], ...]]:
-        """The configuration a snapshot at ``through`` must carry: the
-        newest CONFIG payload at an index <= ``through``, falling back to
-        the previous snapshot's."""
-        for index in range(through, self.log.snapshot_index, -1):
-            entry = self.log.entry(index)
-            if entry.msg_type == CONFIG:
-                return entry.payload
-        return self._snapshot.get("config") if self._snapshot is not None else None
-
     def checkpoint(self) -> int:
         """Snapshot the applied state machine and compact the log through
         ``last_applied``; returns the number of entries discarded.
@@ -478,6 +449,15 @@ class ReplicatedCoordinator(ServerAutomaton):
     # ------------------------------------------------------------------
     # Client requests
     # ------------------------------------------------------------------
+    def _proposed_or_served(self, request_id: str) -> bool:
+        """Whether a leader must not propose ``request_id``: it was applied,
+        sits in the log or waits in the batch buffer."""
+        return (
+            request_id in self.applied_replies
+            or request_id in self._batch
+            or self.log.contains_request(request_id)
+        )
+
     def _on_client_request(self, message: Message, ctx: Context) -> None:
         ident = message.get("txn") if message.msg_type != RECONFIG else message.get("reconfig")
         request_id = f"{message.msg_type}/{ident}"
@@ -487,120 +467,91 @@ class ReplicatedCoordinator(ServerAutomaton):
             if self.election.is_leader:
                 self._send_reply(request_id, ctx)
             return
-        if self.election.is_leader:
-            if self.log.contains_request(request_id) or request_id in self._batch:
-                return
-            if (
-                self.lease_policy is not None
-                and message.msg_type in self.machine.read_only_types
-            ):
-                self._on_read_request(request_id, message, ctx)
-                return
-            if message.msg_type == RECONFIG:
-                if self.joint is not None:
-                    raise SimulationError(
-                        "a second membership change arrived while C_old,new is "
-                        "in flight: at most one configuration change at a time"
-                    )
-                # A membership change enters the log as the joint
-                # configuration C_old,new (adopted on append).
-                self._append_config(
-                    request_id,
-                    "joint",
-                    {
-                        "old": tuple(message.get("old", ())),
-                        "new": tuple(message.get("new", ())),
-                    },
-                    client=message.src,
-                    ctx=ctx,
-                )
-                return
-            if self.append_batching:
-                # Buffer while a commit round is in flight; the flush at the
-                # end of that round packs the whole buffer into one entry.
-                self._batch[request_id] = _PendingRequest(
-                    message.msg_type, _freeze_payload(message.payload), message.src
-                )
-                if self.log.commit_index == self.log.last_index:
-                    self._flush_batch(ctx)
-                return
-            self.log.append(
-                LogEntry(
-                    term=self.election.term,
-                    request_id=request_id,
-                    msg_type=message.msg_type,
-                    payload=_freeze_payload(message.payload),
-                    client=message.src,
-                    proposed_at=ctx.vtime,
-                )
-            )
-            self._replicate(ctx)
-            self._maybe_commit(ctx)
+        request = _PendingRequest(message.msg_type, message.items, message.src)
+        if not self.election.is_leader:
+            # Follower / candidate: buffer the broadcast copy and make sure
+            # an election timer is running — if the leader never commits
+            # this, the timer is what converts the buffered copy into a
+            # re-proposal.
+            self.pending.setdefault(request_id, request)
+            self._ensure_timer(ctx)
             return
-        # Follower / candidate: buffer the broadcast copy and make sure an
-        # election timer is running — if the leader never commits this, the
-        # timer is what converts the buffered copy into a re-proposal.
-        self.pending.setdefault(
-            request_id,
-            _PendingRequest(message.msg_type, _freeze_payload(message.payload), message.src),
-        )
-        self._ensure_timer(ctx)
+        if self._proposed_or_served(request_id):
+            return
+        if self.lease_policy is not None and message.msg_type in self.machine.read_only_types:
+            self._on_read_request(request_id, request, ctx)
+            return
+        if message.msg_type == RECONFIG:
+            if self.joint is not None:
+                raise SimulationError(
+                    "a second membership change arrived while C_old,new is "
+                    "in flight: at most one configuration change at a time"
+                )
+            self._append_joint(request_id, request, ctx)
+        elif self.append_batching:
+            # Buffer while a commit round is in flight; the flush at the
+            # end of that round packs the whole buffer into one entry.
+            self._batch[request_id] = request
+            if self.log.commit_index == self.log.last_index:
+                self._flush_batch(ctx)
+            return
+        else:
+            self._append_request(request_id, request, ctx)
+        self._replicate(ctx)
+        self._maybe_commit(ctx)
 
     # ------------------------------------------------------------------
     # Replication (leader side)
     # ------------------------------------------------------------------
-    def _append_requests(
-        self, requests: Sequence[Tuple[str, str, Tuple[Tuple[str, Any], ...], str]], ctx: Context
-    ) -> None:
-        """Append buffered ``(request_id, msg_type, payload, client)`` tuples:
-        one ordinary entry for a single request, one BATCH entry otherwise."""
-        if not requests:
-            return
-        if len(requests) == 1:
-            request_id, msg_type, payload, client = requests[0]
-            self.log.append(
-                LogEntry(
-                    term=self.election.term,
-                    request_id=request_id,
-                    msg_type=msg_type,
-                    payload=payload,
-                    client=client,
-                    proposed_at=ctx.vtime,
-                )
-            )
-            return
+    def _append_request(self, request_id: str, request: _PendingRequest, ctx: Context) -> None:
+        """Append one client request as its own log entry."""
         self.log.append(
             LogEntry(
                 term=self.election.term,
-                request_id=f"{BATCH}/{self.election.term}.{self.log.last_index + 1}",
-                msg_type=BATCH,
-                payload=(("requests", tuple(requests)),),
+                request_id=request_id,
+                msg_type=request.msg_type,
+                payload=request.payload,
+                client=request.client,
                 proposed_at=ctx.vtime,
             )
         )
+
+    def _append_requests(
+        self, requests: Sequence[Tuple[str, _PendingRequest]], ctx: Context
+    ) -> None:
+        """Append buffered ``(request_id, request)`` pairs: one ordinary
+        entry for a single request, one BATCH entry otherwise."""
+        if len(requests) == 1:
+            self._append_request(*requests[0], ctx)
+        elif requests:
+            self.log.append(
+                LogEntry(
+                    term=self.election.term,
+                    request_id=f"{BATCH}/{self.election.term}.{self.log.last_index + 1}",
+                    msg_type=BATCH,
+                    payload=(
+                        (
+                            "requests",
+                            tuple((rid, r.msg_type, r.payload, r.client) for rid, r in requests),
+                        ),
+                    ),
+                    proposed_at=ctx.vtime,
+                )
+            )
 
     def _flush_batch(self, ctx: Context) -> None:
         """Pack everything in the batch buffer into one log entry and start
         its replication round (leader, ``append_batching`` only)."""
         if not self._batch:
             return
-        requests = tuple(
-            (request_id, request.msg_type, request.payload, request.client)
-            for request_id, request in self._batch.items()
-        )
+        requests = tuple(self._batch.items())
         self._batch = OrderedDict()
         self._append_requests(requests, ctx)
         self._replicate(ctx)
         self._maybe_commit(ctx)
 
     def _replicate(self, ctx: Context) -> None:
-        if self.batch_fanout and len(self.peers) > 1:
-            with ctx.flight():
-                for peer in self.peers:
-                    self._send_append(peer, ctx)
-            return
-        for peer in self.peers:
-            self._send_append(peer, ctx)
+        self._broadcast(lambda peer: self._send_append(peer, ctx), ctx)
 
     def _send_append(self, peer: str, ctx: Context) -> None:
         next_index = self.next_index.get(peer, self.log.last_index + 1)
@@ -682,12 +633,18 @@ class ReplicatedCoordinator(ServerAutomaton):
             )
             self._step_down(self.election.term, leader=None, ctx=ctx)
 
-    def _on_append_ack(self, message: Message, ctx: Context) -> None:
+    def _reply_in_term(self, message: Message, ctx: Context) -> bool:
+        """Preamble of a reply to this member's own round (append ack,
+        lease ack, vote): a newer term deposes it, and only a reply of its
+        current term counts."""
         term = int(message.get("term", 0))
         if term > self.election.term:
             self._step_down(term, leader=None, ctx=ctx)
-            return
-        if not self.election.is_leader or term < self.election.term:
+            return False
+        return term == self.election.term
+
+    def _on_append_ack(self, message: Message, ctx: Context) -> None:
+        if not self._reply_in_term(message, ctx) or not self.election.is_leader:
             return
         peer = message.src
         if message.get("ok"):
@@ -712,7 +669,7 @@ class ReplicatedCoordinator(ServerAutomaton):
             self._lease = LeaderLeaseState(self._lease_duration())
         return self._lease
 
-    def _on_read_request(self, request_id: str, message: Message, ctx: Context) -> None:
+    def _on_read_request(self, request_id: str, request: _PendingRequest, ctx: Context) -> None:
         """Leader fast path for a read-only request: park it on the lease
         and pump — a live proven lease serves it immediately (latency 0),
         otherwise the extension round in flight proves the window for every
@@ -729,10 +686,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                 until=lease.expiry,
                 vtime=ctx.vtime,
             )
-        lease.reads[request_id] = (
-            _PendingRequest(message.msg_type, _freeze_payload(message.payload), message.src),
-            ctx.vtime,
-        )
+        lease.reads[request_id] = (request, ctx.vtime)
         self._lease_pump(ctx)
 
     def _serve_read_locally(
@@ -744,8 +698,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         the reply is memoized like a committed one (retransmissions dedup)
         and the request id queues for the next ``cns-lease`` notify round so
         followers drop their broadcast copies and quiesce."""
-        reply_type, reply_payload = self.machine.apply(request.msg_type, dict(request.payload))
-        self.applied_replies[request_id] = (request.client, reply_type, reply_payload)
+        self._apply_request(request_id, request.msg_type, request.payload, request.client)
         self.pending.pop(request_id, None)
         lease = self._lease
         lease.notify.append(request_id)
@@ -793,13 +746,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         served = tuple(lease.notify)
         lease.notify = []
         payload = {"term": self.election.term, "at": lease.round_sent_at, "served": served}
-        if self.batch_fanout and len(self.peers) > 1:
-            with ctx.flight():
-                for peer in self.peers:
-                    ctx.send(peer, "cns-lease", payload, phase="consensus")
-        else:
-            for peer in self.peers:
-                ctx.send(peer, "cns-lease", payload, phase="consensus")
+        self._broadcast(lambda peer: ctx.send(peer, "cns-lease", payload, phase="consensus"), ctx)
         self._refresh_lease(ctx)  # single-member groups prove instantly
 
     def _refresh_lease(self, ctx: Context) -> None:
@@ -837,40 +784,23 @@ class ReplicatedCoordinator(ServerAutomaton):
         copies of locally-served reads, and acknowledge."""
         if self.lease_policy is None:
             return
-        term = int(message.get("term", 0))
-        at = int(message.get("at", 0))
-        if term < self.election.term:
-            ctx.send(
-                message.src,
-                "cns-lease-ack",
-                {"term": self.election.term, "at": at, "ok": False},
-                phase="consensus",
-            )
-            return
-        if term > self.election.term or not self.election.is_follower:
-            self._step_down(term, leader=message.src, ctx=ctx)
-        self.leader = message.src
-        self._last_heard = ctx.vtime
-        self._repair = False
-        until = ctx.vtime + self._lease_duration()
-        if until > self._promise_until:
-            self._promise_until = until
-        self._promise_holder = message.src
-        for request_id in tuple(message.get("served", ())):
-            self.pending.pop(request_id, None)
+        ok = self._follow(message, ctx)
+        if ok:
+            until = ctx.vtime + self._lease_duration()
+            if until > self._promise_until:
+                self._promise_until = until
+            self._promise_holder = message.src
+            for request_id in tuple(message.get("served", ())):
+                self.pending.pop(request_id, None)
         ctx.send(
             message.src,
             "cns-lease-ack",
-            {"term": self.election.term, "at": at, "ok": True},
+            {"term": self.election.term, "at": int(message.get("at", 0)), "ok": ok},
             phase="consensus",
         )
 
     def _on_lease_ack(self, message: Message, ctx: Context) -> None:
-        term = int(message.get("term", 0))
-        if term > self.election.term:
-            self._step_down(term, leader=None, ctx=ctx)
-            return
-        if not self.election.is_leader or term < self.election.term:
+        if not self._reply_in_term(message, ctx) or not self.election.is_leader:
             return
         if self._lease is None or not message.get("ok"):
             return
@@ -880,38 +810,43 @@ class ReplicatedCoordinator(ServerAutomaton):
     # ------------------------------------------------------------------
     # Replication (follower side)
     # ------------------------------------------------------------------
-    def _on_append(self, message: Message, ctx: Context) -> None:
+    def _follow(self, message: Message, ctx: Context) -> bool:
+        """Follower preamble of ``cns-append`` / ``cns-snapshot`` /
+        ``cns-lease``: False for a stale term; otherwise follow the sender
+        as this term's leader (a live leader is doing the re-replication,
+        so no repair campaign is needed)."""
         term = int(message.get("term", 0))
         if term < self.election.term:
-            ctx.send(
-                message.src,
-                "cns-append-ack",
-                {"term": self.election.term, "ok": False, "match": self.log.commit_index},
-                phase="consensus",
-            )
-            return
+            return False
         if term > self.election.term or not self.election.is_follower:
             self._step_down(term, leader=message.src, ctx=ctx)
         self.leader = message.src
         self._last_heard = ctx.vtime
-        self._repair = False  # a live leader is doing the re-replication
+        self._repair = False
+        return True
+
+    def _ack_append(self, peer: str, ok: bool, match: int, ctx: Context) -> None:
+        ctx.send(
+            peer,
+            "cns-append-ack",
+            {"term": self.election.term, "ok": ok, "match": match},
+            phase="consensus",
+        )
+
+    def _on_append(self, message: Message, ctx: Context) -> None:
         prev_index = int(message.get("prev_index", 0))
-        prev_term = int(message.get("prev_term", 0))
-        if not self.log.matches(prev_index, prev_term):
-            ctx.send(
-                message.src,
-                "cns-append-ack",
-                {"term": self.election.term, "ok": False, "match": self.log.commit_index},
-                phase="consensus",
-            )
+        if not self._follow(message, ctx) or not self.log.matches(
+            prev_index, int(message.get("prev_term", 0))
+        ):
+            self._ack_append(message.src, False, self.log.commit_index, ctx)
             return
         entries = tuple(message.get("entries", ()))
         if entries:
             self.log.merge(prev_index, entries)
             # A merge may have installed *or truncated* a configuration
-            # entry; re-derive the active config from the log (cheap: logs
-            # are short).  Empty appends (heartbeats, commit broadcasts)
-            # cannot change the log, so they skip both.
+            # entry; re-derive the active config from the log.  Empty
+            # appends (commit broadcasts) cannot change the log, so they
+            # skip both.
             self._refresh_config()
         self.log.advance_commit(int(message.get("commit", 0)))
         self._apply_committed(ctx)
@@ -921,55 +856,24 @@ class ReplicatedCoordinator(ServerAutomaton):
         # entries below it were skipped as already-committed, and acking
         # less would walk the leader's next_index into the compacted prefix
         # forever.
-        ctx.send(
-            message.src,
-            "cns-append-ack",
-            {
-                "term": self.election.term,
-                "ok": True,
-                "match": max(prev_index + len(entries), self.log.snapshot_index),
-            },
-            phase="consensus",
+        self._ack_append(
+            message.src, True, max(prev_index + len(entries), self.log.snapshot_index), ctx
         )
 
     def _on_snapshot(self, message: Message, ctx: Context) -> None:
         """Install a leader-shipped snapshot (the compacted counterpart of
         :meth:`_on_append`): adopt machine state, reply cache and config as
         of the snapshot index, then ack so ordinary appends resume."""
-        term = int(message.get("term", 0))
-        if term < self.election.term:
-            ctx.send(
-                message.src,
-                "cns-append-ack",
-                {"term": self.election.term, "ok": False, "match": self.log.commit_index},
-                phase="consensus",
-            )
+        if not self._follow(message, ctx):
+            self._ack_append(message.src, False, self.log.commit_index, ctx)
             return
-        if term > self.election.term or not self.election.is_follower:
-            self._step_down(term, leader=message.src, ctx=ctx)
-        self.leader = message.src
-        self._last_heard = ctx.vtime
-        self._repair = False
         snapshot = dict(message.get("snapshot") or {})
         if int(snapshot.get("index", 0)) > self.log.snapshot_index:
-            if self.log.install_snapshot(snapshot):
-                self.machine.restore(snapshot["machine"])
-                self.applied_replies = dict(snapshot["replies"])
-            else:
-                # Already applied past the snapshot: keep the newer machine,
-                # just absorb any replies we never saw.
-                for request_id, reply in dict(snapshot["replies"]).items():
-                    self.applied_replies.setdefault(request_id, reply)
-            self._snapshot = snapshot
+            self._adopt_snapshot(snapshot, restore=self.log.install_snapshot(snapshot))
             self._refresh_config()
             for request_id in [r for r in self.pending if r in self.applied_replies]:
                 self.pending.pop(request_id, None)
-        ctx.send(
-            message.src,
-            "cns-append-ack",
-            {"term": self.election.term, "ok": True, "match": self.log.commit_index},
-            phase="consensus",
-        )
+        self._ack_append(message.src, True, self.log.commit_index, ctx)
 
     # ------------------------------------------------------------------
     # Elections
@@ -1024,11 +928,7 @@ class ReplicatedCoordinator(ServerAutomaton):
                 self._ensure_timer(ctx)
 
     def _on_vote(self, message: Message, ctx: Context) -> None:
-        term = int(message.get("term", 0))
-        if term > self.election.term:
-            self._step_down(term, leader=None, ctx=ctx)
-            return
-        if not self.election.is_candidate or term < self.election.term:
+        if not self._reply_in_term(message, ctx) or not self.election.is_candidate:
             return
         if message.get("granted"):
             self.election.record_vote(message.src)
@@ -1082,42 +982,18 @@ class ReplicatedCoordinator(ServerAutomaton):
                 proposed_at=ctx.vtime,
             )
         )
-        batchable: List[Tuple[str, str, Tuple[Tuple[str, Any], ...], str]] = []
+        batchable: List[Tuple[str, _PendingRequest]] = []
         for request_id, request in self.pending.items():
-            if self.log.contains_request(request_id) or request_id in self.applied_replies:
+            if self._proposed_or_served(request_id):
                 continue
             if request.msg_type == RECONFIG:
-                if self.joint is not None:
-                    continue  # another change is mid-flight; stays buffered
-                # Re-propose a buffered membership change as its joint entry.
-                payload = dict(request.payload)
-                self._append_config_entry(
-                    request_id,
-                    "joint",
-                    {
-                        "old": tuple(payload.get("old", ())),
-                        "new": tuple(payload.get("new", ())),
-                    },
-                    client=request.client,
-                    ctx=ctx,
-                )
-                continue
-            if self.append_batching:
+                if self.joint is None:  # else another change is mid-flight; stays buffered
+                    self._append_joint(request_id, request, ctx)
+            elif self.append_batching:
                 # Re-proposals ride in one packed entry too.
-                batchable.append(
-                    (request_id, request.msg_type, request.payload, request.client)
-                )
-                continue
-            self.log.append(
-                LogEntry(
-                    term=self.election.term,
-                    request_id=request_id,
-                    msg_type=request.msg_type,
-                    payload=request.payload,
-                    client=request.client,
-                    proposed_at=ctx.vtime,
-                )
-            )
+                batchable.append((request_id, request))
+            else:
+                self._append_request(request_id, request, ctx)
         self._append_requests(batchable, ctx)
         self._maybe_advance_config(ctx)
         self._replicate(ctx)
@@ -1187,114 +1063,106 @@ class ReplicatedCoordinator(ServerAutomaton):
         between committing the joint entry and proposing C_new)."""
         if not self.election.is_leader or self.joint is None:
             return
-        # Scan stops at the snapshot: checkpoint() never compacts while the
-        # newest config is joint, so a joint entry is always in the suffix.
-        for index in range(self.log.last_index, self.log.snapshot_index, -1):
-            entry = self.log.entry(index)
-            if entry.msg_type != CONFIG:
-                continue
-            payload = dict(entry.payload)
-            if payload.get("phase") != "joint":
-                return  # newest config is already C_new
-            if index > self.log.commit_index:
-                return  # joint entry not committed yet
-            if self.log.contains_request(f"{entry.request_id}/new"):
-                return
-            self._append_config(
-                f"{entry.request_id}/new",
-                "new",
-                {"group": tuple(payload["new"]), "request": entry.request_id},
-                client=entry.client,
-                ctx=ctx,
-            )
+        # checkpoint() never compacts while the newest config is joint, so
+        # a joint entry is always in the retained suffix.
+        entry = self.log.newest(CONFIG, self.log.last_index)
+        if entry is None:
             return
+        payload = dict(entry.payload)
+        if payload.get("phase") != "joint":
+            return  # newest config is already C_new
+        if self.log.newest(CONFIG, self.log.commit_index) is not entry:
+            return  # joint entry not committed yet
+        if self.log.contains_request(f"{entry.request_id}/new"):
+            return
+        self._append_config_entry(
+            f"{entry.request_id}/new",
+            "new",
+            {"group": tuple(payload["new"]), "request": entry.request_id},
+            entry.client,
+            ctx,
+        )
+        self._replicate(ctx)
+        self._maybe_commit(ctx)
 
-    def _apply_config(self, entry: LogEntry, ctx: Context) -> None:
+    def _apply_request(
+        self, request_id: str, msg_type: str, payload: Any, client: str
+    ) -> None:
+        """Run one request's transition and memoize its reply — once per
+        ``request_id``; a later application of the same id is a no-op.  A
+        membership change's transition is its ``cns-reconfig-done`` reply
+        (``payload`` is then the committed C_new payload)."""
+        if request_id in self.applied_replies:
+            return
+        if msg_type == RECONFIG:
+            reply_type, reply_payload = "cns-reconfig-done", {
+                "reconfig": int(request_id.rsplit("/", 1)[-1]),
+                "group": tuple(dict(payload)["group"]),
+            }
+        else:
+            reply_type, reply_payload = self.machine.apply(msg_type, dict(payload))
+        self.applied_replies[request_id] = (client, reply_type, reply_payload)
+
+    def _apply_config(self, entry: LogEntry, ctx: Optional[Context]) -> None:
         """Apply a committed configuration entry (both phases are config-
         only: the coordinator state machine never sees them)."""
         payload = dict(entry.payload)
         if payload.get("phase") == "joint":
-            self._maybe_advance_config(ctx)
+            if ctx is not None:
+                self._maybe_advance_config(ctx)
             return
         # C_new committed: answer the original cns-reconfig request exactly
         # once (the reply is memoized under the *request's* id, so a re-sent
         # request after failover gets the same done message back).
-        request_id = str(payload.get("request", ""))
-        if request_id and request_id not in self.applied_replies:
-            self.applied_replies[request_id] = (
-                entry.client,
-                "cns-reconfig-done",
-                {
-                    "reconfig": int(request_id.rsplit("/", 1)[-1]),
-                    "group": tuple(payload.get("group", ())),
-                },
-            )
+        request_id = payload["request"]
+        self._apply_request(request_id, RECONFIG, payload, entry.client)
+        if ctx is None:
+            return
         self.pending.pop(request_id, None)
         if self.election.is_leader:
-            if request_id:
-                self._send_reply(request_id, ctx)
-            if self.name not in tuple(payload.get("group", ())):
+            self._send_reply(request_id, ctx)
+            if self.name not in payload["group"]:
                 self._handoff_pending = True
 
-    def _apply_committed(self, ctx: Context) -> None:
+    def _record_apply(
+        self, index: int, entry: LogEntry, request_id: str, msg_type: str, ctx: Context
+    ) -> None:
+        info = dict(
+            consensus="apply",
+            index=index,
+            term=entry.term,
+            request=request_id,
+            commit_latency=max(0, ctx.vtime - entry.proposed_at),
+        )
+        if self.lease_policy is not None and msg_type in self.machine.read_only_types:
+            info["read"] = True
+        ctx.internal(**info)
+
+    def _apply_committed(self, ctx: Optional[Context]) -> None:
+        """Apply every committed, unapplied entry in index order — the one
+        apply path.  ``ctx=None`` is recovery: the same transitions and
+        memoized replies, but nothing is sent or recorded, no membership
+        change advances and no checkpoint is taken."""
         for index, entry in self.log.take_unapplied():
-            if entry.is_noop():
-                continue
-            if entry.msg_type == BATCH:
-                # Unpack and apply each sub-request exactly as if it had its
-                # own entry: per-sub-id dedup, memoized replies, one apply
-                # record each — client-visible behaviour is unchanged.
-                for request_id, msg_type, payload, client in entry.batch_requests():
-                    if request_id not in self.applied_replies:
-                        reply_type, reply_payload = self.machine.apply(
-                            msg_type, dict(payload)
-                        )
-                        self.applied_replies[request_id] = (client, reply_type, reply_payload)
-                    self.pending.pop(request_id, None)
-                    self._batch.pop(request_id, None)
-                    info = dict(
-                        consensus="apply",
-                        index=index,
-                        term=entry.term,
-                        request=request_id,
-                        commit_latency=max(0, ctx.vtime - entry.proposed_at),
-                    )
-                    if self.lease_policy is not None and msg_type in self.machine.read_only_types:
-                        info["read"] = True
-                    ctx.internal(**info)
-                    if self.election.is_leader:
-                        self._send_reply(request_id, ctx)
-                continue
             if entry.msg_type == CONFIG:
                 self._apply_config(entry, ctx)
-                ctx.internal(
-                    consensus="apply",
-                    index=index,
-                    term=entry.term,
-                    request=entry.request_id,
-                    commit_latency=max(0, ctx.vtime - entry.proposed_at),
-                )
+                if ctx is not None:
+                    self._record_apply(index, entry, entry.request_id, CONFIG, ctx)
                 continue
-            if entry.request_id not in self.applied_replies:
-                reply_type, reply_payload = self.machine.apply(
-                    entry.msg_type, dict(entry.payload)
-                )
-                self.applied_replies[entry.request_id] = (entry.client, reply_type, reply_payload)
-            self.pending.pop(entry.request_id, None)
-            info = dict(
-                consensus="apply",
-                index=index,
-                term=entry.term,
-                request=entry.request_id,
-                commit_latency=max(0, ctx.vtime - entry.proposed_at),
-            )
-            if self.lease_policy is not None and entry.msg_type in self.machine.read_only_types:
-                info["read"] = True
-            ctx.internal(**info)
-            if self.election.is_leader:
-                self._send_reply(entry.request_id, ctx)
+            # An ordinary entry carries one request, a BATCH entry several:
+            # each applies exactly as if it had its own entry.
+            for request_id, msg_type, payload, client in entry.requests():
+                self._apply_request(request_id, msg_type, payload, client)
+                if ctx is None:
+                    continue
+                self.pending.pop(request_id, None)
+                self._batch.pop(request_id, None)
+                self._record_apply(index, entry, request_id, msg_type, ctx)
+                if self.election.is_leader:
+                    self._send_reply(request_id, ctx)
         if (
-            self.compact_every is not None
+            ctx is not None
+            and self.compact_every is not None
             and self.log.last_applied - self.log.snapshot_index >= self.compact_every
         ):
             self.checkpoint()

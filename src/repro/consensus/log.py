@@ -82,6 +82,16 @@ class LogEntry:
                 return value
         return ()
 
+    def requests(self) -> Tuple[Tuple[Any, ...], ...]:
+        """The ``(request_id, msg_type, payload, client)`` client requests
+        the entry carries: none for a no-op, the packed sub-requests of a
+        :data:`BATCH`, otherwise the entry itself."""
+        if self.msg_type == NOOP:
+            return ()
+        if self.msg_type == BATCH:
+            return self.batch_requests()
+        return ((self.request_id, self.msg_type, self.payload, self.client),)
+
     def request_ids(self) -> Tuple[str, ...]:
         """Every dedup key the entry answers for: its own id plus, for a
         :data:`BATCH` entry, the ids of the packed sub-requests."""
@@ -172,6 +182,16 @@ class ConsensusLog:
         """All entries at indices >= ``index`` (which must be above the
         snapshot; callers ship a snapshot instead when it is not)."""
         return tuple(self._entries[max(0, index - self.snapshot_index - 1):])
+
+    def newest(self, msg_type: str, through: int) -> Optional[LogEntry]:
+        """The newest retained entry of ``msg_type`` at an index <=
+        ``through`` (None when the retained suffix holds none)."""
+        count = through - self.snapshot_index
+        entries = self._entries if count >= len(self._entries) else self._entries[: max(0, count)]
+        for entry in reversed(entries):
+            if entry.msg_type == msg_type:
+                return entry
+        return None
 
     def contains_request(self, request_id: str) -> bool:
         return request_id in self._request_ids
