@@ -211,6 +211,10 @@ class ReplicatedCoordinator(ServerAutomaton):
         #: stable store: amnesia resets it, the documented hazard)
         self._promise_until = 0
         self._promise_holder: Optional[str] = None
+        #: set while ``_apply_committed`` walks the committed suffix (the
+        #: walk re-enters itself when a committed joint entry makes the
+        #: leader append and commit C_new)
+        self._applying = False
 
     # ------------------------------------------------------------------
     @property
@@ -451,11 +455,15 @@ class ReplicatedCoordinator(ServerAutomaton):
     # ------------------------------------------------------------------
     def _proposed_or_served(self, request_id: str) -> bool:
         """Whether a leader must not propose ``request_id``: it was applied,
-        sits in the log or waits in the batch buffer."""
+        sits in the log or waits in the batch buffer.  A membership change
+        also counts as proposed while its C_new (``<id>/new``) is in the
+        log: the joint entry may already be compacted away, and the reply
+        is memoized only once C_new applies."""
         return (
             request_id in self.applied_replies
             or request_id in self._batch
             or self.log.contains_request(request_id)
+            or self.log.contains_request(f"{request_id}/new")
         )
 
     def _on_client_request(self, message: Message, ctx: Context) -> None:
@@ -1073,8 +1081,6 @@ class ReplicatedCoordinator(ServerAutomaton):
             return  # newest config is already C_new
         if self.log.newest(CONFIG, self.log.commit_index) is not entry:
             return  # joint entry not committed yet
-        if self.log.contains_request(f"{entry.request_id}/new"):
-            return
         self._append_config_entry(
             f"{entry.request_id}/new",
             "new",
@@ -1143,6 +1149,8 @@ class ReplicatedCoordinator(ServerAutomaton):
         apply path.  ``ctx=None`` is recovery: the same transitions and
         memoized replies, but nothing is sent or recorded, no membership
         change advances and no checkpoint is taken."""
+        outermost = not self._applying
+        self._applying = True
         for index, entry in self.log.take_unapplied():
             if entry.msg_type == CONFIG:
                 self._apply_config(entry, ctx)
@@ -1160,6 +1168,12 @@ class ReplicatedCoordinator(ServerAutomaton):
                 self._record_apply(index, entry, request_id, msg_type, ctx)
                 if self.election.is_leader:
                     self._send_reply(request_id, ctx)
+        if not outermost:
+            # ``take_unapplied`` already moved ``last_applied`` past entries
+            # the outer walk has yet to apply: a checkpoint here would claim
+            # a machine state it does not hold.
+            return
+        self._applying = False
         if (
             ctx is not None
             and self.compact_every is not None

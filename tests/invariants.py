@@ -14,7 +14,8 @@ applies to):
 * **log matching** — two members' logs agree below any index where their
   terms agree, and committed prefixes agree outright;
 * **state-machine safety** — applied request sequences are prefix-consistent
-  across members;
+  across members, and members that applied the same prefix hold the same
+  state-machine state;
 * **quorum intersection across epochs** *(new)* — for every joint
   configuration a run entered, every read quorum of ``C_old,new`` intersects
   every write quorum of ``C_old`` and of ``C_new`` (checked exhaustively
@@ -168,15 +169,22 @@ def check_lease_safety(handle):
 
 
 def check_state_machine_safety(handle):
-    """Applied request sequences are prefix-consistent across members.
+    """Applied request sequences are prefix-consistent across members, and
+    members with equal ``last_applied`` hold equal machine state.
 
-    Compared per global index over the overlap both members applied *and*
-    still retain; a compacted prefix is covered by the snapshot it was
-    discarded behind.
+    Request ids are compared per global index over the overlap both members
+    applied *and* still retain.  The state comparison also covers the
+    compacted prefix: a snapshot that claims entries its machine never
+    applied shows up there, not in the request ids.
     """
     members = consensus_members(handle)
     for i, a in enumerate(members):
         for b in members[i + 1:]:
+            if a.log.last_applied == b.log.last_applied:
+                assert a.machine.snapshot() == b.machine.snapshot(), (
+                    f"{a.name} and {b.name} applied through index "
+                    f"{a.log.last_applied} but hold different state"
+                )
             floor = max(a.log.snapshot_index, b.log.snapshot_index)
             upto = min(a.log.last_applied, b.log.last_applied)
             for index in range(floor + 1, upto + 1):

@@ -6,7 +6,9 @@ grow scenarios run under a lossy network (transport retransmission healing
 fair loss) across the protocol families and a seed set, with the shared
 safety invariants asserted per cell.  A second grid does the same for the
 *controller* — fail-stop a replica under loss and require autonomous
-convergence back to a full-strength group.
+convergence back to a full-strength group.  A third grows the *consensus*
+group while members checkpoint and compact their logs, with and without an
+amnesia crash of the bootstrap leader.
 
 ``CHAOS_GRID_SEEDS`` (env) widens the seed set — the nightly CI chaos-grid
 job runs with 20 seeds, PRs with the default 3 — so schedule-space coverage
@@ -26,11 +28,14 @@ from repro.faults import (
     grow_group_mid_run,
     replace_dead_replica,
 )
+from repro.consensus.reconfig import ReconfigPlan, set_consensus_group
 from repro.faults.plan import CrashEvent, DropPolicy, FaultPlan, RetryPolicy
 from repro.ioa import RandomScheduler
+from repro.persist import PersistencePolicy
 from repro.protocols import get_protocol
 
 from tests import invariants
+from tests.consensus.conftest import amnesia_leader, long_chaos_plan, run_long_workload
 from tests.reconfig.conftest import run_reconfig_workload
 
 SEEDS = tuple(range(int(os.environ.get("CHAOS_GRID_SEEDS", "3"))))
@@ -137,4 +142,39 @@ def test_controller_converges_under_loss(protocol, seed):
     assert "sx.3" not in group and len(group) == 3, (protocol, seed, group)
     assert handle.directory.is_retired("sx.3"), (protocol, seed)
     assert not handle.directory.in_flight(), (protocol, seed)
+    invariants.check_all(handle)
+
+
+@pytest.mark.parametrize("crash", ("no-crash", "amnesia-leader"))
+@pytest.mark.parametrize("compact_every", (2, 8))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("protocol", ("algorithm-b", "algorithm-c"))
+def test_consensus_grow_under_compaction(protocol, seed, compact_every, crash):
+    """Consensus grow 3 -> 4 at t=30 while members checkpoint every few
+    entries, under 5% drop + 5% duplicate.  No snapshot may claim entries
+    its machine has not applied, and a retransmitted change whose joint
+    entry was compacted must not be proposed again: every transaction
+    completes, every member leaves the joint configuration and compacts
+    past C_new, and the invariants (equal state at equal applied index
+    included) hold."""
+    handle = run_long_workload(
+        protocol,
+        seed,
+        plan=long_chaos_plan(seed, crash=amnesia_leader() if crash == "amnesia-leader" else None),
+        persistence=PersistencePolicy(compact_every=compact_every),
+        reconfig=ReconfigPlan(
+            name="cns",
+            requests=(set_consensus_group(("coor", "coor.2", "coor.3", "coor.4"), at=30),),
+        ),
+    )
+    cell = (protocol, seed, compact_every, crash)
+    assert not handle.simulation.incomplete_transactions(), cell
+    new_index = max(
+        info["index"]
+        for info in invariants.consensus_internals(handle)
+        if info["consensus"] == "apply" and info["request"].endswith("/new")
+    )
+    for member in invariants.consensus_members(handle):
+        assert member.joint is None, (cell, member.name)
+        assert member.log.snapshot_index >= new_index, (cell, member.name)
     invariants.check_all(handle)
