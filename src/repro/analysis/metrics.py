@@ -34,7 +34,9 @@ class TransactionMetrics:
     rounds: int
     messages_sent: int
     latency_steps: Optional[int]
-    versions: int = 1
+    #: most versions in one server reply; None for a READ on a trace that
+    #: did not retain every reply (``sampled``/``ring``)
+    versions: Optional[int] = 1
     annotations: Tuple[Tuple[str, Any], ...] = ()
 
     def describe(self) -> str:
@@ -576,11 +578,16 @@ class ExperimentMetrics:
         return "\n".join(lines)
 
 
-def _versions_for_record(simulation: Simulation, record: TransactionRecord) -> int:
+def _versions_for_record(simulation: Simulation, record: TransactionRecord) -> Optional[int]:
+    """Most versions in one reply to a READ (1 for a WRITE).  None on a
+    non-full trace: evicted or sampled-out replies would make any count a
+    silent undercount."""
     from ..core.snow import versions_in_replies
 
     if not isinstance(record.txn, ReadTransaction):
         return 1
+    if not simulation.trace.is_full():
+        return None
     max_versions, _replies = versions_in_replies(
         simulation.trace, str(record.txn_id), record.client, simulation.servers()
     )
@@ -837,7 +844,7 @@ def collect_metrics(
             [t.latency_steps for t in reads if t.latency_steps is not None]
         ),
         read_messages=AggregateStats.from_values([t.messages_sent for t in reads]),
-        read_versions=AggregateStats.from_values([t.versions for t in reads]),
+        read_versions=AggregateStats.from_values([t.versions for t in reads if t.versions is not None]),
         write_latency_steps=AggregateStats.from_values(
             [t.latency_steps for t in writes if t.latency_steps is not None]
         ),

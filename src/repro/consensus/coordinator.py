@@ -61,7 +61,7 @@ from ..ioa.automaton import Context, ServerAutomaton
 from ..ioa.errors import SimulationError
 from .election import DEFAULT_TIMEOUT_RANGE, LeaderElection
 from .lease import LeaderLeaseState, LeasePolicy
-from .log import BATCH, NOOP, ConsensusLog, LogEntry
+from .log import BATCH, CONFIG, NOOP, ConsensusLog, LogEntry
 from .machines import CoordinatorStateMachine
 
 #: Re-exported under the name the rest of the repository uses.
@@ -69,12 +69,6 @@ DEFAULT_ELECTION_TIMEOUT: Tuple[int, int] = DEFAULT_TIMEOUT_RANGE
 
 #: Client-side message type asking the group to change its own membership.
 RECONFIG = "cns-reconfig"
-
-#: Log entry type carrying a configuration (``C_old,new`` or ``C_new``).
-#: Configuration entries take effect as soon as they are *in the log*
-#: (Raft's rule), not when they commit; while the latest config entry is a
-#: joint one, elections and commits need majorities in both configurations.
-CONFIG = "cns-config"
 
 
 class _PendingRequest:
@@ -264,7 +258,7 @@ class ReplicatedCoordinator(ServerAutomaton):
         """The configuration in force at index ``through``: the newest
         CONFIG payload at an index <= ``through``, falling back to the one
         the snapshot carries (None: the construction-time group)."""
-        entry = self.log.newest(CONFIG, through)
+        entry = self.log.newest_config(through)
         if entry is not None:
             return entry.payload
         return self._snapshot.get("config") if self._snapshot is not None else None
@@ -1073,13 +1067,13 @@ class ReplicatedCoordinator(ServerAutomaton):
             return
         # checkpoint() never compacts while the newest config is joint, so
         # a joint entry is always in the retained suffix.
-        entry = self.log.newest(CONFIG, self.log.last_index)
+        entry = self.log.newest_config(self.log.last_index)
         if entry is None:
             return
         payload = dict(entry.payload)
         if payload.get("phase") != "joint":
             return  # newest config is already C_new
-        if self.log.newest(CONFIG, self.log.commit_index) is not entry:
+        if self.log.newest_config(self.log.commit_index) is not entry:
             return  # joint entry not committed yet
         self._append_config_entry(
             f"{entry.request_id}/new",

@@ -28,6 +28,7 @@ term/vote/log survive a crash (Raft's persistence rules).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -48,6 +49,12 @@ NOOP = "noop"
 #: The entry's payload holds a ``requests`` tuple of
 #: ``(request_id, msg_type, payload, client)`` sub-requests.
 BATCH = "cns-batch"
+
+#: Log entry type carrying a configuration (``C_old,new`` or ``C_new``).
+#: Configuration entries take effect as soon as they are *in the log*
+#: (Raft's rule), not when they commit; while the latest config entry is a
+#: joint one, elections and commits need majorities in both configurations.
+CONFIG = "cns-config"
 
 
 @dataclass(frozen=True)
@@ -125,12 +132,18 @@ class ConsensusLog:
         #: legitimately appear twice), making :meth:`contains_request` O(1)
         #: instead of a full-log scan per client request.
         self._request_ids: Dict[str, int] = {}
+        #: sorted global indices of the retained :data:`CONFIG` entries,
+        #: making :meth:`newest_config` a bisect instead of a log scan
+        self._config_indices: List[int] = []
 
     def attach_store(self, store: Any) -> None:
         """Write every later mutation through to ``store``."""
         self._store = store
 
     def _register(self, entry: LogEntry) -> None:
+        """Index ``entry``, which was just appended at :attr:`last_index`."""
+        if entry.msg_type == CONFIG:
+            self._config_indices.append(self.last_index)
         ids = self._request_ids
         for request_id in entry.request_ids():
             ids[request_id] = ids.get(request_id, 0) + 1
@@ -183,15 +196,13 @@ class ConsensusLog:
         snapshot; callers ship a snapshot instead when it is not)."""
         return tuple(self._entries[max(0, index - self.snapshot_index - 1):])
 
-    def newest(self, msg_type: str, through: int) -> Optional[LogEntry]:
-        """The newest retained entry of ``msg_type`` at an index <=
+    def newest_config(self, through: int) -> Optional[LogEntry]:
+        """The newest retained :data:`CONFIG` entry at an index <=
         ``through`` (None when the retained suffix holds none)."""
-        count = through - self.snapshot_index
-        entries = self._entries if count >= len(self._entries) else self._entries[: max(0, count)]
-        for entry in reversed(entries):
-            if entry.msg_type == msg_type:
-                return entry
-        return None
+        position = bisect_right(self._config_indices, through)
+        if not position:
+            return None
+        return self._entries[self._config_indices[position - 1] - self.snapshot_index - 1]
 
     def contains_request(self, request_id: str) -> bool:
         return request_id in self._request_ids
@@ -256,6 +267,7 @@ class ConsensusLog:
                 for truncated in self._entries[position:]:
                     self._unregister(truncated)
                 del self._entries[position:]
+                del self._config_indices[bisect_left(self._config_indices, index):]
                 if self._store is not None:
                     self._store.log_truncate(index)
             self._entries.append(entry)
@@ -296,6 +308,7 @@ class ConsensusLog:
         for entry in self._entries[:drop]:
             self._unregister(entry)
         del self._entries[:drop]
+        del self._config_indices[: bisect_right(self._config_indices, through)]
         self.compacted_entries += drop
         return drop
 
@@ -342,6 +355,7 @@ class ConsensusLog:
                 self._unregister(entry)
             self.compacted_entries += len(self._entries)
             self._entries = []
+            self._config_indices = []
             if self._store is not None:
                 self._store.log_truncate(index + 1)
         self.snapshot_index = index
@@ -366,6 +380,7 @@ class ConsensusLog:
         snapshot's), so the caller replays the committed suffix."""
         self._entries = []
         self._request_ids = {}
+        self._config_indices = []
         self.snapshot_index = int(snapshot_index)
         self.snapshot_term = int(snapshot_term)
         expected = self.snapshot_index + 1

@@ -26,6 +26,7 @@ transaction-complete ones.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -72,11 +73,26 @@ def check_strict_serializability(
     """Search for a legal strict serialization of ``history``.
 
     The search walks the DAG of "sets of already-serialized transactions":
-    from a frontier state it may serialize next any transaction all of whose
-    real-time predecessors are already serialized, provided a READ's observed
-    values match the current abstract state.  Memoisation is on the pair
-    ``(frozenset of placed txn ids, abstract state)`` — two different orders
-    of the same writes that produce the same state are explored once.
+    from a frontier state it may serialize next any transaction that no
+    other unplaced transaction real-time precedes, provided a READ's
+    observed values match the current abstract state.  Memoisation is on
+    the pair ``(set of placed transactions, abstract state)`` — two
+    different orders of the same writes that produce the same state are
+    explored once.
+
+    Real-time order enters through the *minimal-response frontier* of
+    linearizability checking (Wing & Gong, JPDC 1993; Lowe, CCPE 2017):
+    ``t`` may go next iff ``t.invoke_index`` is at most the smallest
+    ``respond_index`` among the *other* unplaced transactions.  Each search
+    frame carries two low-water marks — the first unplaced transaction in
+    invoke order and in respond order — so a step reads its candidates off
+    the invoke order between the first mark and that smallest response (the
+    concurrency window), and no pairwise predecessor table is built.  The
+    placed set is keyed as ``(invoke mark, placed transactions above it)``,
+    which names the same set in O(window) space.  Candidates are tried in
+    history order, last first.  A step costs O(window) plus the READ checks,
+    so a history that is serial up to a bounded concurrency is searched in
+    near-linear time.
 
     The worst case is exponential in the number of *concurrent* transactions,
     which is small in all experiments (the checkers are applied to bounded
@@ -86,59 +102,87 @@ def check_strict_serializability(
     if not entries:
         return SerializabilityResult(ok=True, witness_order=(), explored_states=0)
 
-    by_id: Dict[str, HistoryEntry] = {e.txn_id: e for e in entries}
-    ids: List[str] = [e.txn_id for e in entries]
+    # Transactions are named by their position in history order from here on.
+    count = len(entries)
+    txns = [e.txn for e in entries]
+    invoke = [e.invoke_index for e in entries]
+    respond = [e.respond_index for e in entries]
+    by_invoke = sorted(range(count), key=invoke.__getitem__)
+    by_respond = sorted(range(count), key=respond.__getitem__)
+    rank = [0] * count
+    for position, k in enumerate(by_invoke):
+        rank[k] = position
+    observed: List[Optional[Dict[str, Any]]] = [
+        _observed_read_map(e) if isinstance(e.txn, ReadTransaction) else None for e in entries
+    ]
 
-    # Pre-compute real-time predecessors for each transaction.
-    predecessors: Dict[str, FrozenSet[str]] = {}
-    for entry in entries:
-        preds = frozenset(other.txn_id for other in entries if other is not entry and other.precedes(entry))
-        predecessors[entry.txn_id] = preds
-
-    observed: Dict[str, Optional[Dict[str, Any]]] = {
-        e.txn_id: _observed_read_map(e) if isinstance(e.txn, ReadTransaction) else None for e in entries
-    }
+    def candidates(low: int, above: FrozenSet[int], first: int, state: OTState) -> List[int]:
+        """Placeable transactions whose READ values match ``state``, in
+        history order; ``low``/``first`` are the invoke/respond marks."""
+        if low == count:
+            return []
+        m = by_respond[first]
+        bound = respond[m]
+        window = []
+        for j in range(low, count):
+            k = by_invoke[j]
+            if invoke[k] > bound:
+                break
+            if j == low or k not in above:
+                window.append(k)
+        if invoke[m] > bound:
+            # ``m`` responded before it was invoked (a hand-written history):
+            # its own bound is the smallest response among the others.
+            rest = (
+                by_respond[j]
+                for j in range(first + 1, count)
+                if rank[by_respond[j]] >= low and by_respond[j] not in above
+            )
+            other = next(rest, None)
+            if other is None or invoke[m] <= respond[other]:
+                window.append(m)
+        window.sort()
+        out = []
+        for k in window:
+            seen = observed[k]
+            if seen is not None and seen != apply_transaction(state, txns[k])[0].as_dict:
+                continue
+            out.append(k)
+        return out
 
     initial_state = OTState.initial(history.objects, history.initial_value)
-    visited: Set[Tuple[FrozenSet[str], OTState]] = set()
+    nothing: FrozenSet[int] = frozenset()
+    visited: Set[Tuple[int, FrozenSet[int], OTState]] = {(0, nothing, initial_state)}
     explored = 0
 
     # Iterative depth-first search with an explicit stack so deep histories
-    # cannot blow the Python recursion limit.
-    # Stack holds (placed_frozenset, state, order_list, candidate_iterator).
-    def candidates(placed: FrozenSet[str], state: OTState) -> List[str]:
-        out = []
-        for txn_id in ids:
-            if txn_id in placed:
-                continue
-            if not predecessors[txn_id] <= placed:
-                continue
-            entry = by_id[txn_id]
-            if isinstance(entry.txn, ReadTransaction):
-                expected, _ = apply_transaction(state, entry.txn)
-                seen = observed[txn_id]
-                if seen is not None and seen != expected.as_dict:
-                    continue
-            out.append(txn_id)
-        return out
-
-    stack: List[Tuple[FrozenSet[str], OTState, Tuple[str, ...], List[str]]] = []
-    placed0: FrozenSet[str] = frozenset()
-    stack.append((placed0, initial_state, (), candidates(placed0, initial_state)))
-    visited.add((placed0, initial_state))
-
+    # cannot blow the Python recursion limit.  A frame is (invoke mark,
+    # placed above it, respond mark, state, candidates, transaction placed
+    # to reach it); the stack is the current path, so it is the witness.
+    stack: List[Tuple[int, FrozenSet[int], int, OTState, List[int], int]] = [
+        (0, nothing, 0, initial_state, candidates(0, nothing, 0, initial_state), -1)
+    ]
     while stack:
-        placed, state, order, cands = stack[-1]
-        if len(placed) == len(ids):
+        low, above, first, state, cands, _ = stack[-1]
+        if low == count:
+            order = tuple(entries[frame[5]].txn_id for frame in stack[1:])
             return SerializabilityResult(ok=True, witness_order=order, explored_states=explored)
         if not cands:
             stack.pop()
             continue
-        txn_id = cands.pop()
-        entry = by_id[txn_id]
-        _, next_state = apply_transaction(state, entry.txn)
-        next_placed = placed | {txn_id}
-        key = (next_placed, next_state)
+        k = cands.pop()
+        _, next_state = apply_transaction(state, txns[k])
+        if rank[k] == low:
+            low += 1
+            while low < count and by_invoke[low] in above:
+                low += 1
+            if above:
+                above = frozenset(x for x in above if rank[x] > low)
+        else:
+            above = above | {k}
+        while first < count and (rank[by_respond[first]] < low or by_respond[first] in above):
+            first += 1
+        key = (low, above, next_state)
         if key in visited:
             continue
         visited.add(key)
@@ -149,7 +193,7 @@ def check_strict_serializability(
                 violations=(f"search aborted after exploring {max_states} states",),
                 explored_states=explored,
             )
-        stack.append((next_placed, next_state, order + (txn_id,), candidates(next_placed, next_state)))
+        stack.append((low, above, first, next_state, candidates(low, above, first, next_state), k))
 
     # Exhausted without serializing everything: diagnose why.
     violations = _diagnose(history)
@@ -273,12 +317,6 @@ def check_lemma20(
         violations.append(f"missing tags for: {', '.join(missing)}")
         return Lemma20Result(ok=False, violations=tuple(violations))
 
-    def is_write(entry: HistoryEntry) -> bool:
-        return isinstance(entry.txn, WriteTransaction)
-
-    def precedes(a: HistoryEntry, b: HistoryEntry) -> bool:
-        return tag_precedes(tags[a.txn_id], is_write(a), tags[b.txn_id], is_write(b))
-
     # P1 -----------------------------------------------------------------
     for entry in entries:
         tag = tags[entry.txn_id]
@@ -288,45 +326,64 @@ def check_lemma20(
         # Non-numeric tags make the ≺ relation ill-defined; stop before P2-P4.
         return Lemma20Result(ok=False, violations=tuple(violations))
 
-    # P2 -----------------------------------------------------------------
-    for a in entries:
-        for b in entries:
-            if a is b:
-                continue
-            if a.precedes(b) and precedes(b, a):
+    # Per-entry columns, read once: ``φ ≺ π`` below is :func:`tag_precedes`
+    # written out inline over them.
+    count = len(entries)
+    ids = [e.txn_id for e in entries]
+    tag_of = [tags[txn_id] for txn_id in ids]
+    write = [isinstance(e.txn, WriteTransaction) for e in entries]
+
+    # P2: b ≺ a for some b invoked after a responds.  Those b are a suffix of
+    # the invoke order; the hits are reported in history order.
+    invoke = [e.invoke_index for e in entries]
+    by_invoke = sorted(range(count), key=invoke.__getitem__)
+    invokes = [invoke[k] for k in by_invoke]
+    for a, entry in enumerate(entries):
+        ta, wa = tag_of[a], write[a]
+        later = by_invoke[bisect_right(invokes, entry.respond_index):]
+        hits = [b for b in later if tag_of[b] < ta or (tag_of[b] == ta and write[b] and not wa)]
+        for b in sorted(hits):
+            if b != a:
                 violations.append(
-                    f"P2: {a.txn_id} responds before {b.txn_id} is invoked, yet {b.txn_id} ≺ {a.txn_id} "
-                    f"(tags {tags[b.txn_id]!r} vs {tags[a.txn_id]!r})"
+                    f"P2: {ids[a]} responds before {ids[b]} is invoked, yet {ids[b]} ≺ {ids[a]} "
+                    f"(tags {tag_of[b]!r} vs {ta!r})"
                 )
 
-    # P3 -----------------------------------------------------------------
-    for a in entries:
-        if not is_write(a):
+    # P3: with ``a`` a WRITE, ``a ≺ b`` is ``ta < tb or (ta == tb and b is a
+    # READ)`` and ``b ≺ a`` is ``tb < ta``.
+    for a in range(count):
+        if not write[a]:
             continue
-        for b in entries:
-            if a is b:
-                continue
-            if not precedes(a, b) and not precedes(b, a):
+        ta = tag_of[a]
+        for b in range(count):
+            tb = tag_of[b]
+            if not (ta < tb or tb < ta or (ta == tb and not write[b])) and b != a:
                 violations.append(
-                    f"P3: WRITE {a.txn_id} is not ordered against {b.txn_id} "
-                    f"(tags {tags[a.txn_id]!r} vs {tags[b.txn_id]!r})"
+                    f"P3: WRITE {ids[a]} is not ordered against {ids[b]} "
+                    f"(tags {ta!r} vs {tb!r})"
                 )
 
-    # P4 -----------------------------------------------------------------
-    for read_entry in entries:
-        if is_write(read_entry):
+    # P4: a WRITE ≺ a READ iff its tag is <= the READ's, so the preceding
+    # writes of an object are a prefix of its writes sorted by tag (stable,
+    # so ties keep history order and the first one is ``max``'s pick).
+    # A NaN tag orders against nothing and is left out.
+    writes_of: Dict[str, List[int]] = {}
+    for k in sorted((k for k in range(count) if write[k] and tag_of[k] == tag_of[k]), key=tag_of.__getitem__):
+        for obj in entries[k].txn.objects:
+            writes_of.setdefault(obj, []).append(k)
+    tags_of = {obj: [tag_of[k] for k in ks] for obj, ks in writes_of.items()}
+    for r, read_entry in enumerate(entries):
+        if write[r]:
             continue
         observed = _observed_read_map(read_entry)
         if observed is None:
             continue
+        tr = tag_of[r]
         for obj, value in observed.items():
-            prior_writes = [
-                w
-                for w in entries
-                if is_write(w) and obj in w.txn.objects and precedes(w, read_entry)
-            ]
-            if prior_writes:
-                latest = max(prior_writes, key=lambda w: tags[w.txn_id])
+            obj_tags = tags_of.get(obj, [])
+            prior = bisect_right(obj_tags, tr) if tr == tr else 0
+            if prior:
+                latest = entries[writes_of[obj][bisect_left(obj_tags, obj_tags[prior - 1])]]
                 expected = dict(latest.txn.updates)[obj]
                 if value != expected:
                     violations.append(
@@ -345,7 +402,7 @@ def check_lemma20(
     if ok:
         order = tuple(
             e.txn_id
-            for e in sorted(entries, key=lambda e: (tags[e.txn_id], 0 if is_write(e) else 1, e.invoke_index))
+            for e in sorted(entries, key=lambda e: (tags[e.txn_id], 0 if isinstance(e.txn, WriteTransaction) else 1, e.invoke_index))
         )
 
     result = Lemma20Result(ok=ok, violations=tuple(violations), order=order)

@@ -156,6 +156,13 @@ def blocking_servers_for(
     external input before it could answer (Definition 2.1 requires the
     response to be enabled with no intervening input action).
 
+    Both lookups come from the trace's message index, so a READ costs
+    O(its own messages), not a pass over the trace: the request and the
+    reply are the transaction's own ``RECV``/``SEND`` actions at the server
+    (:meth:`~repro.ioa.trace.Trace.txn_messages`), and "an input in between"
+    is a bisect into the server's sorted ``RECV`` indices
+    (:meth:`~repro.ioa.trace.Trace.recvs_between`).
+
     A request that never gets a reply also counts as blocking (the server is
     waiting for something) unless the transaction never completed at all, in
     which case the caller decides how to treat it.
@@ -180,46 +187,19 @@ def blocking_servers_for(
     the placement layer.  The check for the group is accordingly: if the
     reader addressed the group, some member must have answered.
     """
-    offenders: List[str] = []
+    actions = trace.txn_messages(txn_id)
     group_set = frozenset(consensus_group)
-    server_set = set(servers)
-    for server in servers:
-        if server in group_set:
-            continue
-        projection = trace.project(server)
-        for position, action in enumerate(projection):
-            if action.kind != ActionKind.RECV or action.message is None:
-                continue
-            message = action.message
-            if message.src != reader or message.get("txn") != txn_id:
-                continue
-            if message.get("repair"):
-                continue
-            reply_position: Optional[int] = None
-            blocked = False
-            for later_position in range(position + 1, len(projection)):
-                later = projection[later_position]
-                if (
-                    later.kind == ActionKind.SEND
-                    and later.message is not None
-                    and later.message.dst == reader
-                    and later.message.get("txn") == txn_id
-                ):
-                    reply_position = later_position
-                    break
-                if later.kind == ActionKind.RECV:
-                    blocked = True
-            if reply_position is None or blocked:
-                offenders.append(server)
-                break
+    offenders = [
+        server
+        for server in servers
+        if server not in group_set and _server_blocked(trace, actions, server, reader)
+    ]
     if group_set:
         requested = replied = False
-        for action in trace:
-            if action.kind != ActionKind.SEND or action.message is None:
+        for action in actions:
+            if action.kind != ActionKind.SEND:
                 continue
             message = action.message
-            if message.get("txn") != txn_id:
-                continue
             if message.src == reader and message.dst in group_set:
                 requested = True
             elif message.src in group_set and message.dst == reader:
@@ -227,6 +207,29 @@ def blocking_servers_for(
         if requested and not replied:
             offenders.extend(sorted(group_set))
     return tuple(offenders)
+
+
+def _server_blocked(trace: Trace, actions: Sequence[Action], server: str, reader: str) -> bool:
+    """Whether some request from ``reader`` among one transaction's
+    ``actions`` went unanswered at ``server``, or saw a ``RECV`` there
+    before the server's first reply after it."""
+    for position, action in enumerate(actions):
+        if action.kind != ActionKind.RECV or action.actor != server:
+            continue
+        message = action.message
+        if message.src != reader or message.get("repair"):
+            continue
+        reply = next(
+            (
+                later
+                for later in actions[position + 1 :]
+                if later.kind == ActionKind.SEND and later.actor == server and later.message.dst == reader
+            ),
+            None,
+        )
+        if reply is None or trace.recvs_between(server, action.index, reply.index):
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -240,13 +243,11 @@ def round_trips_per_server(
 ) -> Dict[str, int]:
     """Number of requests the reader sent to each server for this transaction."""
     counts: Dict[str, int] = {}
-    for action in trace:
-        if action.kind != ActionKind.SEND or action.message is None:
+    for action in trace.txn_messages(txn_id):
+        if action.kind != ActionKind.SEND:
             continue
         message = action.message
-        if message.src != reader or message.dst not in servers:
-            continue
-        if message.get("txn") != txn_id or message.get("repair"):
+        if message.src != reader or message.dst not in servers or message.get("repair"):
             continue
         counts[message.dst] = counts.get(message.dst, 0) + 1
     return counts
@@ -261,13 +262,11 @@ def versions_in_replies(
     """``(max_versions, replies_seen)`` over server replies for this transaction."""
     max_versions = 0
     replies = 0
-    for action in trace:
-        if action.kind != ActionKind.SEND or action.message is None:
+    for action in trace.txn_messages(txn_id):
+        if action.kind != ActionKind.SEND:
             continue
         message = action.message
         if message.src not in servers or message.dst != reader:
-            continue
-        if message.get("txn") != txn_id:
             continue
         replies += 1
         max_versions = max(max_versions, int(message.get("num_versions", 1)))

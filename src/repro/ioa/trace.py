@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -132,6 +133,10 @@ class Trace:
         #: the dropped ones (still carrying index ``-1``), so counters and
         #: streaming monitors stay exact in every mode.
         self._observer: Optional[Callable[[Action], None]] = None
+        #: the per-transaction message index and the ``total_appended`` it
+        #: was built at (see :meth:`_message_index`)
+        self._index: Tuple[Dict[Any, List[Action]], Dict[str, List[int]]] = ({}, {})
+        self._index_at = -1
         if actions is not None:
             for action in actions:
                 self.append(action)
@@ -334,6 +339,46 @@ class Trace:
         return self.find(
             lambda a: a.kind == ActionKind.RECV and a.message is not None and a.message.msg_id == message.msg_id
         )
+
+    def _message_index(self) -> Tuple[Dict[Any, List[Action]], Dict[str, List[int]]]:
+        """``(by_txn, recvs)``, rebuilt on the first query after any append
+        (keyed on :attr:`total_appended`), so it never answers for a stale
+        trace."""
+        if self._index_at != self._total:
+            self._index = self._build_message_index()
+            self._index_at = self._total
+        return self._index
+
+    def _build_message_index(self) -> Tuple[Dict[Any, List[Action]], Dict[str, List[int]]]:
+        """One pass over the retained actions.  ``by_txn`` maps each ``txn``
+        payload value to the ``SEND``/``RECV`` actions whose message carries
+        it, in trace order; ``recvs`` maps each actor to the sorted global
+        indices of its ``RECV`` actions."""
+        by_txn: Dict[Any, List[Action]] = {}
+        recvs: Dict[str, List[int]] = {}
+        for action in self._actions:
+            kind = action.kind
+            if kind is ActionKind.RECV:
+                recvs.setdefault(action.actor, []).append(action.index)
+            elif kind is not ActionKind.SEND:
+                continue
+            if action.message is None:
+                continue
+            txn = action.message.get("txn")
+            if txn is not None:
+                by_txn.setdefault(txn, []).append(action)
+        return by_txn, recvs
+
+    def txn_messages(self, txn: Any) -> Sequence[Action]:
+        """The retained ``SEND``/``RECV`` actions whose message carries the
+        payload field ``txn == txn``, in trace order (from the index)."""
+        return self._message_index()[0].get(txn, ())
+
+    def recvs_between(self, actor: str, start_index: int, end_index: int) -> int:
+        """Retained ``RECV`` actions at ``actor`` strictly between two global
+        indices: two bisects into the index."""
+        recvs = self._message_index()[1].get(actor, ())
+        return max(0, bisect_left(recvs, end_index) - bisect_right(recvs, start_index))
 
     def between(self, start_index: int, end_index: int) -> Tuple[Action, ...]:
         """Actions strictly between two trace indices.

@@ -34,7 +34,7 @@ from repro.analysis import (
 )
 from repro.consensus.controller import ControllerPolicy
 from repro.faults.plan import CrashEvent, FaultPlan, Partition, RetryPolicy
-from repro.ioa import FIFOScheduler, LIFOScheduler, RandomScheduler
+from repro.ioa import FIFOScheduler, LIFOScheduler, RandomScheduler, TraceMode
 from repro.persist import PersistencePolicy
 from repro.txn.placement import replica_names
 from tests.conftest import build_system, run_simple_workload
@@ -80,6 +80,24 @@ class TestCollectMetrics:
         run_simple_workload(handle, rounds=2)
         metrics = collect_metrics(handle.simulation, protocol_name="algorithm-c")
         assert metrics.max_versions() > 1
+
+    @pytest.mark.parametrize("mode", [TraceMode.ring(64), TraceMode.sampled(0.5, seed=1)])
+    def test_versions_go_unreported_on_a_partial_trace(self, mode):
+        """A ring or sampled trace may have lost some of a READ's replies;
+        the versions of the rest would be a silent undercount, so READs
+        report None and the aggregate stays empty (``-`` in reports)."""
+
+        def metrics(trace_mode):
+            handle = build_system("algorithm-c", num_readers=1, num_writers=2, trace_mode=trace_mode)
+            run_simple_workload(handle, rounds=2)
+            return collect_metrics(handle.simulation, protocol_name="algorithm-c")
+
+        full, partial = metrics(TraceMode.full()), metrics(mode)
+        assert full.read_versions.count == len(full.reads()) and full.max_versions() > 1
+        assert len(partial.reads()) == len(full.reads())
+        assert partial.read_versions.count == 0
+        assert all(t.versions is None for t in partial.reads())
+        assert all(t.versions == 1 for t in partial.writes())
 
     def test_describe_lists_sections(self):
         handle = build_system("algorithm-b", num_readers=1, num_writers=1)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 import pytest
 
-from repro.consensus import ConsensusLog, LeaderElection, LogEntry
+from repro.consensus import CONFIG, ConsensusLog, LeaderElection, LogEntry
 from repro.ioa.errors import SimulationError
 
 
@@ -69,6 +72,54 @@ class TestConsensusLog:
         assert log.up_to_date(1, 3)  # higher last term wins
         assert not log.up_to_date(1, 2)  # shorter, same term
         assert not log.up_to_date(9, 1)  # lower last term loses
+
+
+def scanned_newest_config(log: ConsensusLog, through: int):
+    """The definition ``newest_config`` answers by bisect: the last retained
+    CONFIG entry at an index <= ``through``."""
+    found = None
+    for index, candidate in enumerate(log.entries, start=log.snapshot_index + 1):
+        if index <= through and candidate.msg_type == CONFIG:
+            found = candidate
+    return found
+
+
+def test_newest_config_follows_appends_truncations_compaction_and_restore():
+    rng = random.Random(7)
+    log = ConsensusLog()
+    term = 1
+    kinds = set()
+    for step in range(600):
+        fresh = LogEntry(term=term, request_id=f"r{step}", msg_type=CONFIG if rng.random() < 0.3 else "update-coor")
+        op = rng.random()
+        if op < 0.45 or log.last_index == 0:
+            log.append(fresh)
+            kinds.add("append")
+        elif op < 0.65:
+            low = max(log.commit_index, log.snapshot_index)
+            if low < log.last_index:
+                term += 1
+                log.merge(rng.randint(low, log.last_index - 1), (replace(fresh, term=term),))
+                kinds.add("truncate")
+        elif op < 0.8:
+            log.advance_commit(rng.randint(log.commit_index, log.last_index))
+            log.take_unapplied()
+            if log.last_applied > log.snapshot_index:
+                through = rng.randint(log.snapshot_index + 1, log.last_applied)
+                log.compact({"index": through, "term": log.term_at(through)})
+                kinds.add("compact")
+        elif op < 0.92:
+            index = rng.randint(log.snapshot_index + 1, log.last_index + 2)
+            keeps_suffix = index <= log.last_index and rng.random() < 0.5
+            log.install_snapshot({"index": index, "term": log.term_at(index) if keeps_suffix else term + 1})
+            kinds.add("snapshot")
+        else:
+            suffix = tuple(enumerate(log.entries, start=log.snapshot_index + 1))
+            log.restore(log.snapshot_index, log.snapshot_term, suffix, log.commit_index)
+            kinds.add("restore")
+        for through in range(log.last_index + 2):
+            assert log.newest_config(through) is scanned_newest_config(log, through)
+    assert kinds == {"append", "truncate", "compact", "snapshot", "restore"}
 
 
 class TestLeaderElection:

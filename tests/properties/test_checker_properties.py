@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.serializability import check_lemma20, check_strict_serializability
 from repro.txn.datatype import run_serial
 from repro.txn.history import History, HistoryEntry
 from repro.txn.transactions import ReadResult, read, write_pairs
+from tests import reference_checkers as ref
 
 OBJECTS = ("o1", "o2")
 values = st.integers(min_value=1, max_value=4)
@@ -136,3 +138,81 @@ def test_concurrent_reads_of_either_snapshot_are_accepted(txns, overlap_position
     )
     history = History(history_entries, objects=OBJECTS, initial_value=0)
     assert check_strict_serializability(history).ok
+
+
+@st.composite
+def overlapping_histories(draw):
+    """Transactions at random, overlapping positions: intervals may share
+    endpoints, touch, or (as a hand-written history may) respond before
+    they invoke.  Reads observe small random values, so both verdicts occur."""
+    entries = []
+    for index in range(draw(st.integers(min_value=1, max_value=7))):
+        subset = draw(st.lists(st.sampled_from(OBJECTS), min_size=1, max_size=len(OBJECTS), unique=True))
+        invoke = draw(st.integers(min_value=0, max_value=8))
+        respond = invoke + draw(st.integers(min_value=-1, max_value=4))
+        if draw(st.booleans()):
+            txn = read(*subset, txn_id=f"T{index}")
+            result = ReadResult.from_mapping({obj: draw(st.integers(min_value=0, max_value=2)) for obj in subset})
+        else:
+            txn = write_pairs(tuple((obj, draw(st.integers(min_value=1, max_value=2))) for obj in subset), txn_id=f"T{index}")
+            result = None
+        entries.append(HistoryEntry(txn=txn, client=f"c{index}", invoke_index=invoke, respond_index=respond, result=result))
+    return History(entries, objects=OBJECTS, initial_value=0)
+
+
+def search_outcome(result):
+    return (result.ok, result.witness_order, result.explored_states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_histories())
+def test_frontier_search_equals_the_predecessor_search(history):
+    assert search_outcome(check_strict_serializability(history)) == search_outcome(
+        ref.check_strict_serializability(history)
+    )
+
+
+def _entry(txn, invoke, respond, result=None):
+    return HistoryEntry(txn=txn, client="c", invoke_index=invoke, respond_index=respond, result=result)
+
+
+W1 = write_pairs((("o1", 1),), txn_id="W1")
+W2 = write_pairs((("o1", 2),), txn_id="W2")
+R1 = read("o1", txn_id="R1")
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # equal indices: every interval is the same point
+        [_entry(W1, 3, 3), _entry(W2, 3, 3), _entry(R1, 3, 3, ReadResult.from_mapping({"o1": 1}))],
+        # a response at the very index the next invocation has: not real-time ordered
+        [_entry(W1, 0, 1), _entry(W2, 1, 2), _entry(R1, 2, 3, ReadResult.from_mapping({"o1": 1}))],
+        # adjacent indices: each precedes the next, so the read must see W2
+        [_entry(W1, 0, 1), _entry(W2, 2, 3), _entry(R1, 4, 5, ReadResult.from_mapping({"o1": 1}))],
+        [_entry(W1, 0, 1), _entry(W2, 2, 3), _entry(R1, 4, 5, ReadResult.from_mapping({"o1": 2}))],
+        # a response recorded before its invocation
+        [_entry(W1, 5, 2), _entry(W2, 0, 3), _entry(R1, 4, 6, ReadResult.from_mapping({"o1": 1}))],
+        [_entry(W1, 5, 2), _entry(W2, 3, 4), _entry(R1, 1, 2, ReadResult.from_mapping({"o1": 2}))],
+    ],
+)
+def test_frontier_search_on_hand_written_boundaries(entries):
+    history = History(entries, objects=OBJECTS, initial_value=0)
+    assert search_outcome(check_strict_serializability(history)) == search_outcome(
+        ref.check_strict_serializability(history)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    overlapping_histories(),
+    st.lists(
+        st.one_of(st.integers(min_value=0, max_value=4), st.sampled_from([1.0, 2.5, float("nan")])),
+        min_size=7,
+        max_size=7,
+    ),
+)
+def test_lemma20_violations_equal_the_pairwise_check(history, tag_values):
+    tags = {entry.txn_id: tag for entry, tag in zip(history.entries(), tag_values)}
+    result = check_lemma20(history, tags, cross_check=False)
+    assert result.violations == ref.lemma20_violations(history, tags)
